@@ -27,10 +27,12 @@ from repro.nn import (
     Tensor,
     as_tensor,
     dtype_policy,
+    log_softmax_np,
     lstm_infer_last,
     no_grad,
     profiler,
 )
+from repro.nn.fused import GroupParams
 
 
 class NextLocationModel(Module):
@@ -103,6 +105,19 @@ class NextLocationModel(Module):
         if self.extra is not None:
             self.extra.backend = backend
 
+    def fused_params(self) -> GroupParams:
+        """The fused kernels' view of the weights: per-cell ``(w_ih,
+        w_hh, bias)`` arrays (surplus layer last) and the head's
+        ``(weight, bias)``."""
+        cells = list(self.lstm.cells)
+        if self.extra is not None:
+            cells += list(self.extra.cells)
+        return (
+            [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in cells],
+            self.head.weight.data,
+            self.head.bias.data,
+        )
+
     def infer_logits(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode logits for a pre-encoded numpy batch, graph-free.
 
@@ -110,23 +125,23 @@ class NextLocationModel(Module):
         the fused inference kernels end to end without any autograd
         bookkeeping.  The privacy layer's temperature scaling is applied
         exactly as in graph-mode eval.  On the reference backend this
-        falls back to the graph under :class:`~repro.nn.tensor.no_grad`,
-        so backend parity extends to inference (under a matching dtype
-        policy — graph ops always run in the engine's policy dtype).
+        falls back to the graph under :class:`~repro.nn.tensor.no_grad`
+        in eval mode, so backend parity extends to inference (under a
+        matching dtype policy — graph ops always run in the engine's
+        policy dtype).  The fused path never reads the training flag (it
+        has no dropout and always applies the temperature), so it leaves
+        the module tree's mode alone.
         """
-        self.eval()
         if self.lstm.backend != "fused":
+            self.eval()
             with no_grad():
                 return self.forward(Tensor(batch)).numpy()
+        layers, head_w, head_b = self.fused_params()
         # The fused kernel casts queries to the weights' dtype, so a model
         # built under one policy keeps answering correctly after the
         # policy changes.
-        x = np.asarray(batch, dtype=self.head.weight.data.dtype)
-        cells = list(self.lstm.cells) + (list(self.extra.cells) if self.extra is not None else [])
-        last = lstm_infer_last(
-            x, [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in cells]
-        )
-        logits = last @ self.head.weight.data + self.head.bias.data
+        last = lstm_infer_last(np.asarray(batch, dtype=head_w.dtype), layers)
+        logits = last @ head_w + head_b
         profiler.record_gemm(last.shape[0], last.shape[1], self.head.out_features)
         if self.privacy.temperature != 1.0:
             logits = logits / self.privacy.temperature
@@ -147,9 +162,7 @@ class NextLocationModel(Module):
 
     def infer_log_confidences(self, batch: np.ndarray) -> np.ndarray:
         """Log-space confidences (precision-safe under the privacy layer)."""
-        logits = self.infer_logits(batch)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return log_softmax_np(self.infer_logits(batch))
 
     # ------------------------------------------------------------------
     # Privacy controls (Pelican §V-B)

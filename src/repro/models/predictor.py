@@ -18,15 +18,20 @@ from repro.models.architecture import NextLocationModel
 from repro.nn import top_k_indices
 
 
+def check_location_domain(model: NextLocationModel, spec: FeatureSpec) -> None:
+    """Reject a model whose output domain is not the spec's locations."""
+    if model.num_locations != spec.num_locations:
+        raise ValueError(
+            f"model location domain {model.num_locations} != "
+            f"spec domain {spec.num_locations}"
+        )
+
+
 class NextLocationPredictor:
     """Query wrapper: encoded or raw feature windows in, confidences out."""
 
     def __init__(self, model: NextLocationModel, spec: FeatureSpec) -> None:
-        if model.num_locations != spec.num_locations:
-            raise ValueError(
-                f"model location domain {model.num_locations} != "
-                f"spec domain {spec.num_locations}"
-            )
+        check_location_domain(model, spec)
         self.model = model
         self.spec = spec
         self.query_count = 0

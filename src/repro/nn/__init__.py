@@ -8,6 +8,7 @@ and FLOP accounting for the Pelican overhead experiments.
 from repro.nn import fused, profiler
 from repro.nn.functional import (
     log_softmax,
+    log_softmax_np,
     one_hot,
     softmax,
     softmax_cross_entropy,
@@ -80,6 +81,7 @@ __all__ = [
     "iterate_minibatches",
     "load_module",
     "log_softmax",
+    "log_softmax_np",
     "lstm_backward",
     "lstm_forward",
     "lstm_infer",

@@ -92,6 +92,17 @@ def softmax_np(logits: np.ndarray, axis: int = -1, temperature: float = 1.0) -> 
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
+def log_softmax_np(logits: np.ndarray) -> np.ndarray:
+    """Pure-numpy stable log-softmax over the last axis.
+
+    The one definition every inference path ranks with (per model,
+    stacked, and tick-wide serving), so their log-probabilities agree bit
+    for bit: each row's max and sum reduce only that row.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     """Encode integer indices as one-hot rows.
 
@@ -115,10 +126,24 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def top_k_indices(scores: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
-    """Indices of the ``k`` largest entries, sorted descending by score."""
+    """Indices of the ``k`` largest entries, sorted descending by score.
+
+    Ties keep ascending index order among the selected entries.  1-D and
+    2-D last-axis input (every serving call) slices and fancy-indexes
+    instead of ``take``/``take_along_axis``; the selection is the same
+    ``argpartition`` and stable ``argsort`` either way.
+    """
     scores = np.asarray(scores)
     k = min(k, scores.shape[axis])
     part = np.argpartition(-scores, k - 1, axis=axis)
+    if scores.ndim == 1:
+        top = part[:k]
+        return top[np.argsort(-scores[top], kind="stable")]
+    if scores.ndim == 2 and axis in (-1, 1):
+        top = part[:, :k]
+        rows = np.arange(len(scores))[:, None]
+        order = np.argsort(-scores[rows, top], axis=-1, kind="stable")
+        return top[rows, order]
     top = np.take(part, range(k), axis=axis)
     top_scores = np.take_along_axis(scores, top, axis=axis)
     order = np.argsort(-top_scores, axis=axis, kind="stable")

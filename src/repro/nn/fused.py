@@ -78,6 +78,43 @@ class LayerCache:
     mask: Optional[np.ndarray] = None  # (T, B, H) dropout mask on this layer's output
 
 
+def _cell_step(
+    g: np.ndarray,
+    gt: np.ndarray,
+    c_prev: np.ndarray,
+    ct: np.ndarray,
+    tct: np.ndarray,
+    h_out: np.ndarray,
+    zero_state: bool,
+) -> None:
+    """One timestep's gate, cell and hidden-state update from the
+    pre-activations ``g`` (``[..., 4H]``, gate order ``[i|f|g|o]``).
+
+    Writes the activated gates to ``gt``, the cell state to ``ct``, its
+    tanh to ``tct`` and the hidden state to ``h_out``; ``c_prev`` is
+    ignored when ``zero_state`` (the implicit all-zeros previous cell).
+    The one ufunc sequence every LSTM kernel here runs — per model,
+    stacked across models, or over a whole tick of groups — so per
+    element their activation math is bit-identical whatever the
+    leading shape.
+    """
+    H = g.shape[-1] // 4
+    # Sigmoid over the full 4H block in-place, then overwrite the cell
+    # block with its tanh: 5 ufunc calls instead of per-gate chains.
+    np.negative(g, out=gt)
+    np.exp(gt, out=gt)
+    gt += 1.0
+    np.reciprocal(gt, out=gt)
+    np.tanh(g[..., 2 * H : 3 * H], out=gt[..., 2 * H : 3 * H])
+    if zero_state:
+        np.multiply(gt[..., 0 * H : 1 * H], gt[..., 2 * H : 3 * H], out=ct)
+    else:
+        np.multiply(gt[..., 1 * H : 2 * H], c_prev, out=ct)
+        ct += gt[..., 0 * H : 1 * H] * gt[..., 2 * H : 3 * H]
+    np.tanh(ct, out=tct)
+    np.multiply(gt[..., 3 * H : 4 * H], tct, out=h_out)
+
+
 def _layer_forward(
     X: np.ndarray,
     w_ih: np.ndarray,
@@ -116,30 +153,23 @@ def _layer_forward(
     tcbuf = np.empty((B, H), dtype=X.dtype) if not want_cache else None
     h_prev, c_prev = h0, c0
     for t in range(T):
-        if t == 0 and state_zero:
+        first = t == 0 and state_zero
+        if first:
             g = xw[0]
         else:
             g = np.matmul(h_prev, w_hh, out=gbuf)
             profiler.record_gemm(B, H, 4 * H)
             g += xw[t]
-        # Sigmoid over the full 4H block in-place, then overwrite the cell
-        # block with its tanh: 5 ufunc calls instead of per-gate chains.
-        gt = gates[t] if want_cache else gtbuf
-        np.negative(g, out=gt)
-        np.exp(gt, out=gt)
-        gt += 1.0
-        np.reciprocal(gt, out=gt)
-        np.tanh(g[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
-
         ct = cs[t] if want_cache else cbuf
-        if t == 0 and state_zero:
-            np.multiply(gt[:, 0 * H : 1 * H], gt[:, 2 * H : 3 * H], out=ct)
-        else:
-            np.multiply(gt[:, 1 * H : 2 * H], c_prev, out=ct)
-            ct += gt[:, 0 * H : 1 * H] * gt[:, 2 * H : 3 * H]
-        tct = tcs[t] if want_cache else tcbuf
-        np.tanh(ct, out=tct)
-        np.multiply(gt[:, 3 * H : 4 * H], tct, out=hs[t])
+        _cell_step(
+            g,
+            gates[t] if want_cache else gtbuf,
+            c_prev,
+            ct,
+            tcs[t] if want_cache else tcbuf,
+            hs[t],
+            first,
+        )
         h_prev, c_prev = hs[t], ct
     if not want_cache:
         return hs, None
@@ -480,27 +510,13 @@ def _stacked_layer_forward(
     gtbuf = np.empty((M, B, 4 * H), dtype=X.dtype)
     cbuf = np.empty((M, B, H), dtype=X.dtype)
     tcbuf = np.empty((M, B, H), dtype=X.dtype)
-    c_prev = cbuf
     for t in range(T):
         if t == 0:
             g = xw[0]
         else:
             g = np.matmul(hs[t - 1], w_hh, out=gbuf)
             g += xw[t]
-        gt = gtbuf
-        np.negative(g, out=gt)
-        np.exp(gt, out=gt)
-        gt += 1.0
-        np.reciprocal(gt, out=gt)
-        np.tanh(g[..., 2 * H : 3 * H], out=gt[..., 2 * H : 3 * H])
-
-        if t == 0:
-            np.multiply(gt[..., 0 * H : 1 * H], gt[..., 2 * H : 3 * H], out=cbuf)
-        else:
-            np.multiply(gt[..., 1 * H : 2 * H], c_prev, out=cbuf)
-            cbuf += gt[..., 0 * H : 1 * H] * gt[..., 2 * H : 3 * H]
-        np.tanh(cbuf, out=tcbuf)
-        np.multiply(gt[..., 3 * H : 4 * H], tcbuf, out=hs[t])
+        _cell_step(g, gtbuf, cbuf, cbuf, tcbuf, hs[t], t == 0)
     return hs
 
 
@@ -553,3 +569,77 @@ def stacked_infer_last(
     heads consume as one batched head GEMM.
     """
     return np.ascontiguousarray(_stacked_infer_tm(x, layers)[-1])
+
+
+# ----------------------------------------------------------------------
+# Grouped tick inference (DESIGN.md §7)
+# ----------------------------------------------------------------------
+#: One model's inference parameters: per-layer ``(w_ih, w_hh, bias)``
+#: and the head's ``(weight, bias)``.
+GroupParams = Tuple[
+    Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray, np.ndarray
+]
+
+
+def grouped_infer_logits(
+    x: np.ndarray,
+    bounds: Sequence[int],
+    params: Sequence[GroupParams],
+) -> np.ndarray:
+    """Head logits for many models' query groups in one graph-free call.
+
+    ``x`` is ``(rows, seq, features)``; group ``g`` owns rows
+    ``bounds[g]:bounds[g + 1]`` and is answered by ``params[g]``.  Every
+    model must share the layer count, the hidden sizes and the head
+    shape, and carry ``x``'s dtype.  Returns ``(rows, locations)``
+    logits, before any temperature.
+
+    Each group keeps its own GEMMs at the exact shapes the per-model
+    kernel (:func:`lstm_infer_last` plus the head) issues — the input
+    projection ``(T·B, F) @ W_ih`` per layer, one ``(B, H) @ W_hh`` per
+    recurrent step, and ``(B, H) @ W_head`` — writing into its row slice
+    of tick-wide buffers, and each is reported to
+    :func:`~repro.nn.profiler.record_gemm`; the bias adds ride the
+    per-group writes.  The rest of the elementwise work — the recurrent
+    ``+ xw`` and :func:`_cell_step` — runs once over all rows.  Equal
+    GEMM shapes and per-element ufuncs make every group's logits
+    bit-identical to serving it alone; the saving is the per-group
+    Python dispatch of that elementwise work.
+    """
+    N, T, _ = x.shape
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    hs = None
+    for layer in range(len(params[0][0])):
+        H = params[0][0][layer][1].shape[0]
+        xw = np.empty((T, N, 4 * H), dtype=x.dtype)
+        for (lo, hi), (layers, _, _) in zip(spans, params):
+            w_ih, _, bias = layers[layer]
+            X = x[lo:hi].transpose(1, 0, 2) if hs is None else hs[:, lo:hi]
+            B, F = hi - lo, X.shape[2]
+            proj = X.reshape(T * B, F) @ w_ih
+            profiler.record_gemm(T * B, F, 4 * H)
+            np.add(proj.reshape(T, B, 4 * H), bias, out=xw[:, lo:hi])
+        hs = np.empty((T, N, H), dtype=x.dtype)
+        gbuf = np.empty((N, 4 * H), dtype=x.dtype)
+        gtbuf = np.empty((N, 4 * H), dtype=x.dtype)
+        cbuf = np.empty((N, H), dtype=x.dtype)
+        tcbuf = np.empty((N, H), dtype=x.dtype)
+        for t in range(T):
+            if t == 0:
+                g = xw[0]
+            else:
+                for (lo, hi), (layers, _, _) in zip(spans, params):
+                    np.matmul(hs[t - 1, lo:hi], layers[layer][1], out=gbuf[lo:hi])
+                    profiler.record_gemm(hi - lo, H, 4 * H)
+                g = gbuf
+                g += xw[t]
+            _cell_step(g, gtbuf, cbuf, cbuf, tcbuf, hs[t], t == 0)
+    last = hs[-1]
+    H, L = params[0][1].shape
+    logits = np.empty((N, L), dtype=x.dtype)
+    for (lo, hi), (_, head_w, head_b) in zip(spans, params):
+        out = logits[lo:hi]
+        np.matmul(last[lo:hi], head_w, out=out)
+        profiler.record_gemm(hi - lo, H, L)
+        out += head_b
+    return logits

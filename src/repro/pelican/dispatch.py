@@ -2,7 +2,9 @@
 
 Concurrent query requests are grouped per personal model — by
 ``(user, window length, k)`` in arrival order — and each group is
-answered through the graph-free fused inference path in *one* GEMM stack.
+answered through the graph-free fused inference path in *one* GEMM stack;
+:func:`dispatch_tick` answers a whole flush's groups with one grouped
+kernel call per shape bucket, bit-identically.
 The grouping and the dispatch kernels live here so the single-cloud
 :class:`~repro.pelican.fleet.Fleet`, the N-shard
 :class:`~repro.pelican.cluster.Cluster`, and the cluster's failover path
@@ -22,15 +24,16 @@ Two request species flow through the same grouping:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models.architecture import NextLocationModel
-from repro.models.predictor import NextLocationPredictor
-from repro.nn.functional import top_k_indices
-from repro.nn.fused import stacked_infer_last
+from repro.models.predictor import NextLocationPredictor, check_location_domain
+from repro.nn.functional import log_softmax_np, top_k_indices
+from repro.nn.fused import grouped_infer_logits, stacked_infer_last
 from repro.nn.profiler import DEFAULT_CYCLES_PER_MAC, flop_counter
 from repro.pelican.clock import QueryRequest, QueryResponse
 from repro.pelican.cloud import ResourceReport
@@ -130,17 +133,18 @@ MIN_STACK_GROUPS = 2
 StackedGroup = Tuple[int, NextLocationModel, Sequence[Tuple[SessionFeatures, ...]], int]
 
 
-def _stacked_group_macs(key: StackKey, steps: int, batch: int) -> int:
-    """Per-model-equivalent MACs of one group served via a stack.
+def group_macs(key: StackKey, steps: int, batch: int) -> int:
+    """Per-model-equivalent MACs of one group of ``batch`` windows of
+    ``steps`` sessions against a model of shape ``key``.
 
     Exactly the integer the flop counter records when the same group
     runs through :func:`dispatch_model_batch`: the per-layer input
     projection ``T·B·F·4H``, the ``(T-1)`` recurrent steps ``B·H·4H``
-    (the ``t == 0`` zero-state step is skipped on both paths), and the
+    (the ``t == 0`` zero-state step is skipped on every path), and the
     head ``B·H·L``.  Booking groups at this rate is what keeps the
-    stacked path's report signature identical to the per-model one
-    (DESIGN.md §12): stacking changes how the arithmetic is *scheduled*,
-    not how much arithmetic each group logically is.
+    stacked and tick paths' report signatures identical to the per-model
+    one (DESIGN.md §7, §12): they change how the arithmetic is
+    *scheduled*, not how much arithmetic each group logically is.
     """
     total = 0
     for f, h in key[1]:
@@ -150,6 +154,15 @@ def _stacked_group_macs(key: StackKey, steps: int, batch: int) -> int:
     h_top, locations = key[2]
     total += batch * h_top * locations
     return total
+
+
+def _compute_report(macs: int) -> ResourceReport:
+    """A group's booked compute at ``macs`` (no measured wall time)."""
+    return ResourceReport(
+        macs=macs,
+        estimated_billion_cycles=macs * DEFAULT_CYCLES_PER_MAC / 1e9,
+        wall_seconds=0.0,
+    )
 
 
 def dispatch_stacked_tick(
@@ -175,7 +188,7 @@ def dispatch_stacked_tick(
     (heterogeneous-shape fallback), or an under-filled bucket.
 
     The per-group :class:`ResourceReport` books the same MACs the
-    per-model dispatch would have measured (:func:`_stacked_group_macs`),
+    per-model dispatch would have measured (:func:`group_macs`),
     so the caller attributes cost group by group exactly as before.
     """
     served: List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]] = [
@@ -215,27 +228,103 @@ def dispatch_stacked_tick(
             # models and x / 1.0 is IEEE-exact, matching the per-model
             # skip.
             logits /= temps[:, None, None]
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            log_probs = log_softmax_np(logits)
 
             order = top_k_indices(log_probs, k, axis=-1)  # (M, size, k)
             confidences = np.exp(np.take_along_axis(log_probs, order, axis=-1))
             locations = order.tolist()
             confidence_rows = confidences.tolist()
-            macs = _stacked_group_macs(key, steps, size)
+            macs = group_macs(key, steps, size)
             for m, pos in enumerate(sub):
                 results = [
                     list(zip(loc_row, conf_row))
                     for loc_row, conf_row in zip(locations[m], confidence_rows[m])
                 ]
-                served[pos] = (
-                    results,
-                    ResourceReport(
-                        macs=macs,
-                        estimated_billion_cycles=macs * DEFAULT_CYCLES_PER_MAC / 1e9,
-                        wall_seconds=0.0,
-                    ),
-                )
+                served[pos] = (results, _compute_report(macs))
+    return served
+
+
+#: One resolved prediction group for :func:`dispatch_tick`:
+#: ``(model, histories, k)``.
+TickGroup = Tuple[NextLocationModel, Sequence[Tuple[SessionFeatures, ...]], int]
+
+
+class _ServedRows(NextLocationPredictor):
+    """A predictor over log-probabilities a tick kernel already computed.
+
+    Its :meth:`top_k_batch` ranks the next ``len(histories)`` rows, so a
+    bucket's groups, ranked in row order, go through the one ranking and
+    answer-building definition every other serving path uses.
+    """
+
+    def __init__(self, spec: FeatureSpec, log_probs: np.ndarray) -> None:
+        self.model = None
+        self.spec = spec
+        self.query_count = 0
+        self._log_probs = log_probs
+        self._next = 0
+
+    def encode_histories(self, histories: Sequence[Any]) -> np.ndarray:
+        start = self._next
+        self._next += len(histories)
+        return self._log_probs[start : self._next]
+
+    def log_confidences_encoded(self, batch: np.ndarray) -> np.ndarray:
+        self.query_count += len(batch)
+        return batch
+
+
+def dispatch_tick(
+    spec: FeatureSpec,
+    groups: Sequence[TickGroup],
+) -> List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]]:
+    """Serve a flush's prediction groups through one grouped kernel call
+    per shape bucket (DESIGN.md §7).
+
+    Groups are bucketed by ``(stack key, window length)`` — same dtype,
+    layer shapes and head — in arrival order.  A bucket's windows are
+    encoded in one :meth:`~repro.data.features.FeatureSpec.encode_windows`
+    call and answered by :func:`~repro.nn.fused.grouped_infer_logits`,
+    which keeps every group's GEMMs at the per-model shapes; temperature
+    and log-softmax then run over the bucket's rows at once, and each
+    group is ranked by :meth:`NextLocationPredictor.top_k_batch` over its
+    rows.  Answers are bit-identical to :func:`dispatch_model_batch`
+    group by group, and each group books the MACs that path measures
+    (:func:`group_macs`).  The returned list aligns with ``groups``:
+    ``None`` marks a reference-backend model, which the caller serves
+    per model.  A model outside the spec's location domain raises, as a
+    predictor over it would.
+    """
+    served: List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]] = [
+        None
+    ] * len(groups)
+    buckets: "OrderedDict[Tuple[StackKey, int], List[int]]" = OrderedDict()
+    for pos, (model, histories, _) in enumerate(groups):
+        check_location_domain(model, spec)
+        key = stack_key(model)
+        if key is not None:
+            buckets.setdefault((key, len(histories[0])), []).append(pos)
+
+    for (key, steps), members in buckets.items():
+        models = [groups[pos][0] for pos in members]
+        sizes = [len(groups[pos][1]) for pos in members]
+        bounds = list(accumulate(sizes, initial=0))
+        x = spec.encode_windows([h for pos in members for h in groups[pos][1]])
+        dtype = key[0]
+        if x.dtype != dtype:
+            x = x.astype(dtype)
+        logits = grouped_infer_logits(x, bounds, [m.fused_params() for m in models])
+        # x / 1.0 is IEEE-exact, so dividing every row matches the
+        # per-model path's skip at temperature 1.0.
+        temps = np.array([m.privacy_temperature for m in models], dtype=dtype)
+        logits /= np.repeat(temps, sizes)[:, None]
+        ranker = _ServedRows(spec, log_softmax_np(logits))
+        for pos, size in zip(members, sizes):
+            _, histories, k = groups[pos]
+            served[pos] = (
+                ranker.top_k_batch(histories, k),
+                _compute_report(group_macs(key, steps, size)),
+            )
     return served
 
 

@@ -34,10 +34,9 @@ here, so ``from repro.pelican.fleet import FleetSchedule`` keeps working.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import SequenceDataset
-from repro.nn.profiler import flop_counter
 from repro.pelican.accounting import FleetReport
 from repro.pelican.clock import (
     EventKind,
@@ -55,6 +54,7 @@ from repro.pelican.dispatch import (
     dispatch_model_batch,
     dispatch_prior_batch,
     dispatch_stacked_tick,
+    dispatch_tick,
     group_requests,
     probe_response,
     serve_probe_group,
@@ -80,6 +80,17 @@ __all__ = [
 #: degraded tier)``.  A ``None`` model sheds the group; a tier other than
 #: ``None`` flags its answers as degraded (DESIGN.md §11).
 Resolver = Callable[[int, OnboardedUser], Tuple[Any, Optional[str]]]
+
+
+class _Group(NamedTuple):
+    """One request group after the resolve phase of :meth:`Fleet._serve_groups`."""
+
+    user: OnboardedUser
+    model: Any
+    tier: Optional[str]
+    k: int
+    is_probe: bool
+    indices: List[int]
 
 
 class Fleet:
@@ -238,9 +249,7 @@ class Fleet:
         with per-probe confidences and additionally mirrored into the
         report's adversary attribution overlay.
         """
-        if self.stacked:
-            return self._serve_stacked(requests)
-        responses = self._serve_groups(requests, self._resolve)
+        responses = self._serve_groups(requests, self._resolve, stacked=self.stacked)
         return [r for r in responses if r is not None]
 
     def _resolve(self, user_id: int, user: OnboardedUser) -> Tuple[Any, None]:
@@ -258,25 +267,40 @@ class Fleet:
         users: Optional[Dict[int, OnboardedUser]] = None,
         channel: Optional[Channel] = None,
         path: Optional[str] = None,
+        stacked: bool = False,
     ) -> List[Optional[QueryResponse]]:
-        """The one serving loop: group, resolve, dispatch, and bill.
+        """The one serving loop: group, then resolve, compute and bill.
 
-        Every request group resolves its model through ``resolve`` —
-        :meth:`_resolve` on the home fleet, a fallback shard's registry
-        on cluster failover, or the degradation ladder (DESIGN.md §9,
-        §11) — and is served and billed by :meth:`_serve_group` on this
-        fleet's report.  ``users`` holds the endpoints that pay the query
-        exchanges (the home shard's, on failover).  A rerouted ``path``
-        (``"failover"``, ``"degraded"``) sends its exchanges over
-        ``channel``, labelled ``{path}-query`` / ``{path}-probe``.  A
-        group the resolver cannot answer (``None`` model) is shed and
-        counted; its slots stay ``None``.
+        Each phase keeps one leg of the per-group determinism contract:
+
+        1. **Resolve** every group's model through ``resolve`` in arrival
+           order — :meth:`_resolve` on the home fleet, a fallback shard's
+           registry on cluster failover, or the degradation ladder
+           (DESIGN.md §9, §11) — so registry ``get`` order, LRU order and
+           a flaky registry's draws are those of a group-by-group loop.
+        2. **Compute** every neural prediction group, local and cloud, in
+           :meth:`_compute_groups` (one grouped kernel per shape bucket;
+           stacked first when ``stacked``, DESIGN.md §12).
+        3. **Bill** in arrival order through :meth:`_serve_group` on this
+           fleet's report, which also answers what phase 2 left (probes,
+           the ``prior`` tier, reference-backend models).
+
+        ``users`` holds the endpoints that pay the query exchanges (the
+        home shard's, on failover).  A rerouted ``path`` (``"failover"``,
+        ``"degraded"``) sends its exchanges over ``channel``, labelled
+        ``{path}-query`` / ``{path}-probe``.  A group the resolver cannot
+        answer (``None`` model) is shed and counted; its slots stay
+        ``None``.
         """
         users = self.pelican.users if users is None else users
-        responses: List[Optional[QueryResponse]] = [None] * len(requests)
+        groups = []
         for (user_id, _, k, is_probe), indices in group_requests(requests).items():
             user = users[user_id]
             model, tier = resolve(user_id, user)
+            groups.append(_Group(user, model, tier, k, is_probe, indices))
+        served = self._compute_groups(requests, groups, stacked)
+        responses: List[Optional[QueryResponse]] = [None] * len(requests)
+        for (user, model, tier, k, is_probe, indices), result in zip(groups, served):
             if model is None:
                 self.resilience_stats.shed_queries += len(indices)
                 continue
@@ -289,11 +313,57 @@ class Fleet:
                 k,
                 is_probe,
                 tier=tier,
+                served=result,
                 channel=channel,
                 path=path,
             )
         self._sync_network()
         return responses
+
+    def _compute_groups(
+        self,
+        requests: Sequence[QueryRequest],
+        groups: Sequence[_Group],
+        stacked: bool,
+    ) -> List[Optional[Tuple[List, ResourceReport]]]:
+        """Answers for every resolved prediction group a tick kernel can
+        serve, aligned with ``groups``; ``None`` for the rest.
+
+        Under ``stacked`` the cloud groups go
+        through :func:`~repro.pelican.dispatch.dispatch_stacked_tick`
+        first; every group still unanswered goes through
+        :func:`~repro.pelican.dispatch.dispatch_tick`.
+        """
+        spec = self.pelican.spec
+        served: List[Optional[Tuple[List, ResourceReport]]] = [None] * len(groups)
+        pending = [
+            pos
+            for pos, group in enumerate(groups)
+            if group.model is not None and not group.is_probe and group.tier != "prior"
+        ]
+        histories = {
+            pos: [requests[i].history for i in groups[pos].indices] for pos in pending
+        }
+        if stacked:
+            cloud = [
+                pos
+                for pos in pending
+                if groups[pos].user.endpoint.mode == DeploymentMode.CLOUD
+            ]
+            stacked_groups = [
+                (groups[pos].user.user_id, groups[pos].model, histories[pos], groups[pos].k)
+                for pos in cloud
+            ]
+            for pos, result in zip(
+                cloud,
+                dispatch_stacked_tick(self.registry.stack_cache, spec, stacked_groups),
+            ):
+                served[pos] = result
+            pending = [pos for pos in pending if served[pos] is None]
+        tick_groups = [(groups[pos].model, histories[pos], groups[pos].k) for pos in pending]
+        for pos, result in zip(pending, dispatch_tick(spec, tick_groups)):
+            served[pos] = result
+        return served
 
     def _serve_group(
         self,
@@ -312,12 +382,14 @@ class Fleet:
         """Answer one group with ``model`` and bill it, filling its
         response slots.
 
-        Compute runs on the device for a local deployment and on this
-        fleet's cloud otherwise; ``served`` carries results the stacked
-        dispatch already computed (DESIGN.md §12), and the ladder's
-        ``prior`` tier answers from a Markov table with no compute to
-        book.  The query exchange always goes through the endpoint's
-        single accounting boundary.  A degraded ``tier`` flags the
+        Compute runs on the device for a local deployment (``model`` is
+        the device's own, and its predictor's query count is bumped as
+        its ``top_k_batch`` would) and on this fleet's cloud otherwise;
+        ``served`` carries the results and booked compute
+        :meth:`_compute_groups` already produced, a group without them is
+        dispatched per model, and the ladder's ``prior`` tier answers
+        from a Markov table with no compute to book.  The query exchange
+        always goes through the endpoint's single accounting boundary.  A degraded ``tier`` flags the
         answers and is counted in the resilience book.  Probe groups
         bill through :func:`~repro.pelican.dispatch.serve_probe_group`.
         """
@@ -342,10 +414,6 @@ class Fleet:
         compute: Optional[ResourceReport] = None
         if served is not None:
             results, compute = served
-        elif device:
-            with flop_counter() as counter:
-                results = user.endpoint.predictor.top_k_batch(histories, k)
-            compute = ResourceReport.from_counter(counter)
         elif tier == "prior":
             results = dispatch_prior_batch(model, histories, k)
         else:
@@ -353,6 +421,7 @@ class Fleet:
                 model, self.pelican.spec, histories, k
             )
         if device:
+            user.endpoint.predictor.query_count += len(indices)
             self.report.device_compute += compute
             self.report.device_simulated_seconds += profile.simulated_seconds(
                 compute.macs
@@ -375,70 +444,6 @@ class Fleet:
             responses[i] = QueryResponse(
                 user_id=user_id, time=0.0, seq=i, top_k=tuple(top), degraded=tier
             )
-
-    def _serve_stacked(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
-        """:meth:`serve` through the cross-model stacked dispatch (§12).
-
-        Three phases, each preserving one leg of the per-model path's
-        determinism contract:
-
-        1. **Resolve** every group's model in arrival order — the exact
-           registry ``get`` sequence of the per-model loop, so LRU order,
-           hits/cold-loads/evictions (and a flaky registry's own draw
-           sequence) are bit-identical.
-        2. **Compute** all stackable prediction groups in one
-           :func:`~repro.pelican.dispatch.dispatch_stacked_tick` call.
-           Probes never stack (isolation contract, §10); local, reference
-           -backend, and partnerless-shape groups fall back below.
-        3. **Bill** in arrival order through the per-model loop's own
-           :meth:`_serve_group`: every group books its compute, pays its
-           query exchange, and bumps ``batches``/``queries`` exactly where
-           the per-model loop would have — channel float accumulation
-           order included — whether its answers came from the stack or
-           the per-model fallback.
-        """
-        groups = list(group_requests(requests).items())
-        users = [self.pelican.users[key[0]] for key, _ in groups]
-        models = [
-            self._resolve(key[0], user)[0] for (key, _), user in zip(groups, users)
-        ]
-        candidates = [
-            (
-                pos,
-                (
-                    key[0],
-                    models[pos],
-                    [requests[i].history for i in indices],
-                    key[2],
-                ),
-            )
-            for pos, (key, indices) in enumerate(groups)
-            if not key[3] and users[pos].endpoint.mode == DeploymentMode.CLOUD
-        ]
-        stacked = dict(
-            zip(
-                (pos for pos, _ in candidates),
-                dispatch_stacked_tick(
-                    self.registry.stack_cache,
-                    self.pelican.spec,
-                    [group for _, group in candidates],
-                ),
-            )
-        )
-        responses: List[Optional[QueryResponse]] = [None] * len(requests)
-        for pos, ((_, _, k, is_probe), indices) in enumerate(groups):
-            self._serve_group(
-                requests,
-                indices,
-                responses,
-                users[pos],
-                models[pos],
-                k,
-                is_probe,
-                served=stacked.get(pos),
-            )
-        self._sync_network()
-        return [r for r in responses if r is not None]
 
     def serve_looped(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:
         """Reference implementation: one endpoint query per request.

@@ -41,7 +41,7 @@ from repro.models.architecture import NextLocationModel
 #: Identity under which models may share one stack: weight dtype, the
 #: (input, hidden) size of every LSTM cell (surplus layer included, so a
 #: TL-FE model never mixes with a plain one), and the head shape.
-StackKey = Tuple[str, Tuple[Tuple[int, int], ...], Tuple[int, int]]
+StackKey = Tuple[np.dtype, Tuple[Tuple[int, int], ...], Tuple[int, int]]
 
 
 def stack_key(model: NextLocationModel) -> Optional[StackKey]:
@@ -57,7 +57,7 @@ def stack_key(model: NextLocationModel) -> Optional[StackKey]:
     if model.extra is not None:
         cells += list(model.extra.cells)
     return (
-        str(model.head.weight.data.dtype),
+        model.head.weight.data.dtype,
         tuple((cell.input_size, cell.hidden_size) for cell in cells),
         model.head.weight.data.shape,
     )
@@ -77,7 +77,7 @@ class WeightStack:
 
     def __init__(self, key: StackKey) -> None:
         self.key = key
-        self.dtype = np.dtype(key[0])
+        self.dtype = key[0]
         self.cell_sizes = key[1]
         self.head_shape = key[2]
         self.rows: Dict[int, int] = {}

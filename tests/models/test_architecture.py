@@ -60,6 +60,32 @@ class TestPrivacyControls:
         assert model.privacy_temperature == 1e-3
 
 
+class TestInferenceMode:
+    def test_fused_logits_ignore_and_keep_the_training_flag(self, model, rng):
+        """The fused inference path has no dropout and always applies the
+        temperature, so it gives the same bits in either mode — and leaves
+        the module tree's mode as it found it."""
+        model.add_surplus_lstm(rng)
+        model.set_privacy_temperature(0.3)
+        x = rng.integers(0, 2, size=(3, 2, 20)).astype(float)
+        model.eval()
+        in_eval = model.infer_logits(x)
+        assert not model.training
+        model.train()
+        in_train = model.infer_logits(x)
+        assert np.array_equal(in_train, in_eval)
+        assert all(module.training for _, module in model.named_modules())
+
+    def test_reference_backend_still_answers_in_eval_mode(self, model, rng):
+        model.set_backend("reference")
+        model.set_privacy_temperature(0.3)
+        model.train()
+        x = rng.integers(0, 2, size=(2, 2, 20)).astype(float)
+        logits = model.infer_logits(x)
+        assert not model.training
+        np.testing.assert_array_equal(logits, model(Tensor(x)).numpy())
+
+
 class TestCopy:
     def test_copy_preserves_weights_and_temperature(self, model, rng):
         model.set_privacy_temperature(0.25)

@@ -76,3 +76,25 @@ class TestTopK:
     def test_batched(self):
         scores = np.array([[0.1, 0.9], [0.8, 0.2]])
         np.testing.assert_array_equal(top_k_indices(scores, 1, axis=-1), [[1], [0]])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fast_path_matches_generic_path(self, seed):
+        """1-D and 2-D last-axis input takes the slicing fast path; adding
+        leading unit axes routes the same scores through the generic
+        ``take_along_axis`` path.  Integer-valued scores force ties."""
+        rng = np.random.default_rng(seed)
+        rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        scores = rng.integers(0, 4, size=(rows, width)).astype(float)
+        for k in (1, int(rng.integers(1, width + 1)), width, width + 3):
+            fast = top_k_indices(scores, k)
+            generic = top_k_indices(scores[None], k, axis=-1)[0]
+            np.testing.assert_array_equal(fast, generic)
+            assert fast.shape == (rows, min(k, width)) and fast.dtype == generic.dtype
+            np.testing.assert_array_equal(
+                top_k_indices(scores, k, axis=1), generic
+            )
+            row_fast = top_k_indices(scores[0], k)
+            np.testing.assert_array_equal(
+                row_fast, top_k_indices(scores[None, None, 0], k)[0, 0]
+            )
+            np.testing.assert_array_equal(row_fast, fast[0])
