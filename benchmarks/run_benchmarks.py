@@ -35,10 +35,9 @@ REPO_ROOT = BENCH_DIR.parent
 # The quick suite: nn micro-benchmarks, the fleet serving comparison, the
 # cluster shard-scaling comparison, the regimes x chaos scenario
 # matrix, the privacy-audit
-# comparison, the resilience clean-path overhead gate, the cross-model
-# stacked dispatch comparison, the storage tiering gates, and the
-# front-door micro-batching gate (all run in seconds; the
-# experiment-regeneration targets need --full).
+# comparison, the resilience clean-path overhead gate, the storage
+# tiering gates, and the front-door micro-batching gate (all run in
+# seconds; the experiment-regeneration targets need --full).
 DEFAULT_TARGETS = [
     str(BENCH_DIR / "test_nn_microbench.py"),
     str(BENCH_DIR / "test_fleet_serving.py"),
@@ -46,7 +45,6 @@ DEFAULT_TARGETS = [
     str(BENCH_DIR / "test_scenario_matrix.py"),
     str(BENCH_DIR / "test_audit_matrix.py"),
     str(BENCH_DIR / "test_resilience_overhead.py"),
-    str(BENCH_DIR / "test_stacked_dispatch.py"),
     str(BENCH_DIR / "test_storage_tiering.py"),
     str(BENCH_DIR / "test_service_load.py"),
 ]

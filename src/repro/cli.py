@@ -227,7 +227,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         placement=args.placement,
         resilience=args.resilience,
         deadline=args.deadline,
-        stacked=args.stacked,
         store=args.store,
         delta_updates=args.delta_updates,
     )
@@ -277,7 +276,6 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         placement=args.placement,
         store=args.store,
-        stacked=args.stacked,
         fast_setup=args.fast,
     )
     print(render_service_load(result))
@@ -443,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cut training epochs so setup takes seconds (serving-only results)",
     )
     fleet.add_argument(
-        "--stacked", action="store_true",
-        help="serve cloud groups via cross-model stacked dispatch (same answers)",
-    )
-    fleet.add_argument(
         "--store", choices=sorted(STORE_KINDS), default="memory",
         help="durable blob-store tier behind the registry: memory, disk "
         "(mmap-backed segments), or tiered (hot cache over disk); answers "
@@ -545,10 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_load.add_argument(
         "--store", choices=sorted(STORE_KINDS), default="memory",
         help="durable blob-store tier behind the registry (default memory)",
-    )
-    serve_load.add_argument(
-        "--stacked", action="store_true",
-        help="serve cloud groups via cross-model stacked dispatch (same answers)",
     )
     serve_load.add_argument(
         "--fast", action="store_true",

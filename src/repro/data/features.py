@@ -173,8 +173,8 @@ class FeatureSpec:
         window: the one-hot scatter runs as four fancy-indexed writes
         over all sessions instead of one numpy allocation per session.
         The values are bit-identical (0.0/1.0 one-hots either way) — this
-        is the encoding stage of the stacked serving path (DESIGN.md
-        §12), where per-session Python would otherwise dominate the tick.
+        is the encoding stage of the tick kernel (DESIGN.md §7), where
+        per-session Python would otherwise dominate the tick.
         """
         n = len(windows)
         if n == 0:

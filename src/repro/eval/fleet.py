@@ -100,7 +100,6 @@ class FleetThroughputResult:
     parity: bool
     report: Union[FleetReport, ClusterReport]
     num_shards: int = 1
-    stacked: bool = False
     store: str = "memory"
 
     @property
@@ -122,7 +121,6 @@ def build_fleet_workload(
     num_shards: int = 1,
     placement: str = "hash",
     resilience: Optional[ResiliencePolicy] = None,
-    stacked: bool = False,
     store: str = "memory",
     delta_updates: bool = False,
 ) -> FleetWorkload:
@@ -130,9 +128,6 @@ def build_fleet_workload(
     query workload.  ``resilience`` optionally attaches a fault-handling
     policy (DESIGN.md §11) — a no-op on this clean workload beyond the
     stats overlay, which is exactly what the overhead benchmark measures.
-    ``stacked`` serves cloud groups through the cross-model stacked
-    dispatch (DESIGN.md §12) — identical answers and signature, fewer,
-    bigger GEMMs.
 
     Personal users alternate local/cloud deployment (so both serving
     sides are exercised) and each contributes ``queries_per_user``
@@ -171,7 +166,6 @@ def build_fleet_workload(
             registry_capacity=registry_capacity,
             registry_store=blob_store,
             resilience=resilience,
-            stacked=stacked,
         )
     else:
         fleet = Cluster(
@@ -181,7 +175,6 @@ def build_fleet_workload(
             placement=placement,
             registry_capacity=registry_capacity,
             resilience=resilience,
-            stacked=stacked,
             store=blob_store,
         )
     train, _ = corpus.contributor_dataset(DEFAULT_LEVEL).split_by_user(0.8)
@@ -246,7 +239,6 @@ def run_fleet_throughput(
     placement: str = "hash",
     resilience: Optional[str] = None,
     deadline: Optional[float] = None,
-    stacked: bool = False,
     store: str = "memory",
     delta_updates: bool = False,
 ) -> FleetThroughputResult:
@@ -264,7 +256,6 @@ def run_fleet_throughput(
         num_shards=num_shards,
         placement=placement,
         resilience=res_policy,
-        stacked=stacked,
         store=store,
         delta_updates=delta_updates,
     )
@@ -291,6 +282,5 @@ def run_fleet_throughput(
         parity=responses_match(batched, looped),
         report=fleet.report,
         num_shards=workload.num_shards,
-        stacked=stacked,
         store=store,
     )

@@ -233,7 +233,6 @@ def render_fleet(result: "FleetThroughputResult") -> str:
     """Fleet serving comparison rendering (DESIGN.md §7/§9)."""
     report = result.report
     shards = f" on {result.num_shards} shards" if result.num_shards > 1 else ""
-    shards += " (stacked dispatch)" if result.stacked else ""
     lines = [
         f"fleet @ {result.scale}: {result.num_users} users{shards}, "
         f"{result.num_queries} queries in {result.batches} batches "
@@ -283,8 +282,6 @@ def render_fleet(result: "FleetThroughputResult") -> str:
 def render_service_load(result: "ServiceLoadResult") -> str:
     """Service front-door load rendering (DESIGN.md §15)."""
     stack = f" on {result.num_shards} shards" if result.num_shards > 1 else ""
-    if result.stacked:
-        stack += " (stacked dispatch)"
     if result.store != "memory":
         stack += f", {result.store} store"
     knobs = f"chaos {result.policy}, resilience {result.resilience}"

@@ -7,10 +7,9 @@ device, optional diurnal curve and flash crowd, onboard/update churn)
 into a schedule, and runs it through a
 :class:`~repro.pelican.service.ServiceFrontDoor` — admission control,
 micro-batching, and the latency/SLO book — over any combination of the
-serving axes (chaos policy, resilience, shards, stores, stacked
-dispatch).  The ``serve-load`` CLI subcommand prints the
-report; ``benchmarks/test_service_load.py`` pins the micro-batching
-speedup.
+serving axes (chaos policy, resilience, shards, stores).  The
+``serve-load`` CLI subcommand prints the report;
+``benchmarks/test_service_load.py`` pins the micro-batching speedup.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ class ServiceLoadResult:
     resilience: str
     num_shards: int
     store: str
-    stacked: bool
     wall_seconds: float
     #: The full front-door signature (fleet books + ``service_*`` overlay).
     signature: Dict[str, Any] = field(default_factory=dict)
@@ -196,14 +194,13 @@ def run_service_load(
     num_shards: int = 1,
     placement: str = "hash",
     store: str = "memory",
-    stacked: bool = False,
     fast_setup: bool = False,
 ) -> ServiceLoadResult:
     """One generated workload through the front door, end to end.
 
     The serving stack mirrors the scenario-matrix cell construction
     (:func:`repro.eval.scenarios.build_cell_fleet`) extended with the
-    stacked/store axes; traffic compiles once and replays
+    store axis; traffic compiles once and replays
     deterministically, so the same arguments always produce the same
     ``signature`` (only ``wall_seconds`` varies).
     """
@@ -235,7 +232,6 @@ def run_service_load(
             registry_capacity=registry_capacity,
             registry_store=make_blob_store(store),
             resilience=res_policy,
-            stacked=stacked,
         )
         fleet.report.cloud_compute += training_report
     else:
@@ -246,7 +242,6 @@ def run_service_load(
             registry_capacity=registry_capacity,
             policy=cp,
             resilience=res_policy,
-            stacked=stacked,
             store=store,
         )
         fleet.report.training = fleet.report.training + training_report
@@ -285,7 +280,6 @@ def run_service_load(
         resilience=resilience or "none",
         num_shards=num_shards,
         store=store,
-        stacked=stacked,
         wall_seconds=wall_seconds,
         signature=signature,
     )

@@ -95,8 +95,8 @@ def softmax_np(logits: np.ndarray, axis: int = -1, temperature: float = 1.0) -> 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
     """Pure-numpy stable log-softmax over the last axis.
 
-    The one definition every inference path ranks with (per model,
-    stacked, and tick-wide serving), so their log-probabilities agree bit
+    The one definition every inference path ranks with (per model and
+    tick-wide serving), so their log-probabilities agree bit
     for bit: each row's max and sum reduce only that row.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)

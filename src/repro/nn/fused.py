@@ -93,10 +93,9 @@ def _cell_step(
     Writes the activated gates to ``gt``, the cell state to ``ct``, its
     tanh to ``tct`` and the hidden state to ``h_out``; ``c_prev`` is
     ignored when ``zero_state`` (the implicit all-zeros previous cell).
-    The one ufunc sequence every LSTM kernel here runs — per model,
-    stacked across models, or over a whole tick of groups — so per
-    element their activation math is bit-identical whatever the
-    leading shape.
+    The one ufunc sequence every LSTM kernel here runs — per model or
+    over a whole tick of groups — so per element their activation math
+    is bit-identical whatever the leading shape.
     """
     H = g.shape[-1] // 4
     # Sigmoid over the full 4H block in-place, then overwrite the cell
@@ -472,103 +471,6 @@ def lstm_infer_last(
     consumes, with no layout conversion of the full sequence.
     """
     return _infer_tm(_check_infer_input(x), layers)[-1]
-
-
-# ----------------------------------------------------------------------
-# Stacked cross-model inference (DESIGN.md §12)
-# ----------------------------------------------------------------------
-# One layer's parameters for M stacked models: (weight_ih, weight_hh,
-# bias) with shapes (M, in, 4H), (M, H, 4H), (M, 4H) — the per-model
-# arrays of LayerParams stacked along a leading model axis.
-
-
-def _stacked_layer_forward(
-    X: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-) -> np.ndarray:
-    """One LSTM layer over a time-major ``(T, M, B, F)`` block, M models.
-
-    The cross-model twin of :func:`_layer_forward` for the zero-state
-    inference case: the input projection for all timesteps and all models
-    is one broadcast batched GEMM (``(T, M, B, F) @ (M, F, 4H)``), the
-    recurrence keeps one ``(M, B, H) @ (M, H, 4H)`` batched GEMM per step
-    (skipped at ``t == 0``, where the implicit zero state contributes
-    nothing), and the elementwise gate/cell/hidden updates are the exact
-    ufunc sequence of the per-model kernel — so per element the
-    activation math is bit-identical, and only BLAS blocking across the
-    GEMM shapes separates stacked answers from per-model ones.
-    """
-    T, M, B, F = X.shape
-    H = w_hh.shape[1]
-    xw = np.matmul(X, w_ih)  # (T, M, B, 4H): batch dims broadcast over T
-    xw += bias[:, None, :]
-
-    hs = np.empty((T, M, B, H), dtype=X.dtype)
-    gbuf = np.empty((M, B, 4 * H), dtype=X.dtype)
-    gtbuf = np.empty((M, B, 4 * H), dtype=X.dtype)
-    cbuf = np.empty((M, B, H), dtype=X.dtype)
-    tcbuf = np.empty((M, B, H), dtype=X.dtype)
-    for t in range(T):
-        if t == 0:
-            g = xw[0]
-        else:
-            g = np.matmul(hs[t - 1], w_hh, out=gbuf)
-            g += xw[t]
-        _cell_step(g, gtbuf, cbuf, cbuf, tcbuf, hs[t], t == 0)
-    return hs
-
-
-def _stacked_infer_tm(
-    x: np.ndarray,
-    layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Chain stacked layers over an ``(M, B, T, F)`` block, time-major
-    internally.  No :func:`~repro.nn.profiler.record_gemm` calls: a
-    stacked GEMM serves many models' groups at once, so the *dispatch*
-    layer books each group's logical per-model-equivalent MACs instead
-    (DESIGN.md §12) — kernel-side recording would double-count.
-    """
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise ValueError(
-            f"stacked LSTM expects (models, batch, seq, features); got shape {x.shape}"
-        )
-    layer_in = np.ascontiguousarray(x.transpose(2, 0, 1, 3))
-    for w_ih, w_hh, bias in layers:
-        layer_in = _stacked_layer_forward(layer_in, w_ih, w_hh, bias)
-    return layer_in
-
-
-def lstm_infer_stacked(
-    x: np.ndarray,
-    layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Graph-free eval forward for M same-shaped models in one call.
-
-    ``x`` is ``(models, batch, seq, features)`` — one per-model batch
-    per stacked model — and ``layers[l]`` is ``(w_ih, w_hh, bias)`` with
-    a leading model axis: ``(M, F, 4H)``, ``(M, H, 4H)``, ``(M, 4H)``.
-    Returns the top layer's hidden states ``(models, batch, seq,
-    hidden)``.  Zero-padded ragged batches are safe if a caller needs
-    them: every op is elementwise or a GEMM, so pad rows stay finite and
-    can simply be sliced off.
-    """
-    out = _stacked_infer_tm(x, layers)
-    return np.ascontiguousarray(out.transpose(1, 2, 0, 3))
-
-
-def stacked_infer_last(
-    x: np.ndarray,
-    layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Like :func:`lstm_infer_stacked` but only the final hidden state.
-
-    ``(models, batch, hidden)``, contiguous — what M classification
-    heads consume as one batched head GEMM.
-    """
-    return np.ascontiguousarray(_stacked_infer_tm(x, layers)[-1])
 
 
 # ----------------------------------------------------------------------

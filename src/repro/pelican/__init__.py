@@ -96,7 +96,7 @@ from repro.pelican.storage import (
     TieredBlobStore,
     make_blob_store,
 )
-from repro.pelican.stacking import WeightStack, WeightStackCache, stack_key
+from repro.pelican.stacking import stack_key
 from repro.pelican.resilience import (
     DEFAULT_QUERY_DEADLINE,
     RESILIENCE_POLICIES,
@@ -188,8 +188,6 @@ __all__ = [
     "ServiceStats",
     "TransferRecord",
     "UpdateResult",
-    "WeightStack",
-    "WeightStackCache",
     "stack_key",
     "apply_privacy",
     "chaos_policy",

@@ -454,7 +454,6 @@ class ChaosFleet(Fleet):
         registry_store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
-        stacked: bool = False,
     ) -> None:
         self.policy = policy
         self.chaos = ChaosStats()
@@ -483,7 +482,6 @@ class ChaosFleet(Fleet):
             registry_store=registry_store,
             resilience=resilience,
             resilience_stats=self.resilience_stats,
-            stacked=stacked,
         )
 
     def _make_registry(self, capacity: Optional[int], seed: int) -> ModelRegistry:

@@ -140,13 +140,6 @@ class Cluster:
         :class:`~repro.pelican.resilience.ResilienceStats` book is
         shared across all shards.  ``None`` and the null policy are
         byte-for-byte identical to the pre-resilience behaviour.
-    stacked:
-        Serve every shard's cloud prediction groups through the
-        cross-model stacked dispatch (DESIGN.md §12).  Per-shard only:
-        the failover and degradation paths keep the per-model dispatch
-        (their registry resolution is interleaved with breaker and
-        outage decisions), which is part of the §12 bypass list —
-        answers and signatures are unchanged either way.
     store:
         The cluster-wide durable checkpoint store (DESIGN.md §14).  A
         kind string (``"memory"``, ``"disk"``, ``"tiered"``) builds a
@@ -168,7 +161,6 @@ class Cluster:
         device_profile: DeviceProfile = LOW_END_PHONE,
         policy: Optional[ChaosPolicy] = None,
         resilience: Optional[ResiliencePolicy] = None,
-        stacked: bool = False,
         store: Union[str, BlobStore, Dict[int, bytes], None] = None,
     ) -> None:
         if num_shards < 1:
@@ -228,7 +220,6 @@ class Cluster:
                     registry_store=self.store,
                     resilience=shard_res,
                     resilience_stats=self.resilience_stats,
-                    stacked=stacked,
                 )
             else:
                 shard = ChaosFleet(
@@ -240,7 +231,6 @@ class Cluster:
                     registry_store=self.store,
                     resilience=shard_res,
                     resilience_stats=self.resilience_stats,
-                    stacked=stacked,
                 )
             self.shards.append(shard)
         self.report = ClusterReport(

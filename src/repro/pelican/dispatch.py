@@ -33,11 +33,14 @@ from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models.architecture import NextLocationModel
 from repro.models.predictor import NextLocationPredictor, check_location_domain
 from repro.nn.functional import log_softmax_np, top_k_indices
-from repro.nn.fused import grouped_infer_logits, stacked_infer_last
+from repro.nn.fused import grouped_infer_logits
 from repro.nn.profiler import DEFAULT_CYCLES_PER_MAC, flop_counter
 from repro.pelican.clock import QueryRequest, QueryResponse
 from repro.pelican.cloud import ResourceReport
-from repro.pelican.stacking import StackKey, WeightStackCache, stack_key
+from repro.pelican.stacking import StackKey, stack_key
+
+# Kept resolvable for perfbench/tracing.py's span sites (see stacking.py).
+from repro.pelican.stacking import stacked_path_removed as stacked_infer_last  # noqa: F401
 
 #: Group key: requests sharing one can run as one fused dispatch.
 #: ``(user_id, window length, k, is_probe)`` — the trailing flag keeps
@@ -123,16 +126,6 @@ def dispatch_model_batch(
     return results, ResourceReport.from_counter(counter)
 
 
-#: Minimum same-shaped groups a tick must carry before stacking pays:
-#: a singleton "stack" is the per-model dispatch with extra copies.
-MIN_STACK_GROUPS = 2
-
-#: One resolved prediction group for :func:`dispatch_stacked_tick`:
-#: ``(user_id, model, histories, k)`` — the model already resolved by
-#: the caller (registry hit / cold load), never a probe.
-StackedGroup = Tuple[int, NextLocationModel, Sequence[Tuple[SessionFeatures, ...]], int]
-
-
 def group_macs(key: StackKey, steps: int, batch: int) -> int:
     """Per-model-equivalent MACs of one group of ``batch`` windows of
     ``steps`` sessions against a model of shape ``key``.
@@ -141,10 +134,10 @@ def group_macs(key: StackKey, steps: int, batch: int) -> int:
     runs through :func:`dispatch_model_batch`: the per-layer input
     projection ``T·B·F·4H``, the ``(T-1)`` recurrent steps ``B·H·4H``
     (the ``t == 0`` zero-state step is skipped on every path), and the
-    head ``B·H·L``.  Booking groups at this rate is what keeps the
-    stacked and tick paths' report signatures identical to the per-model
-    one (DESIGN.md §7, §12): they change how the arithmetic is
-    *scheduled*, not how much arithmetic each group logically is.
+    head ``B·H·L``.  Booking groups at this rate is what keeps the tick
+    kernel's report signatures identical to the per-model path's
+    (DESIGN.md §7): it changes how the arithmetic is *scheduled*, not
+    how much arithmetic each group logically is.
     """
     total = 0
     for f, h in key[1]:
@@ -163,85 +156,6 @@ def _compute_report(macs: int) -> ResourceReport:
         estimated_billion_cycles=macs * DEFAULT_CYCLES_PER_MAC / 1e9,
         wall_seconds=0.0,
     )
-
-
-def dispatch_stacked_tick(
-    stack_cache: WeightStackCache,
-    spec: FeatureSpec,
-    groups: Sequence[StackedGroup],
-    min_stack_groups: int = MIN_STACK_GROUPS,
-) -> List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]]:
-    """Serve a whole tick's stackable groups as a few batched GEMM calls.
-
-    Groups are bucketed by ``(stack key, window length)``; every bucket
-    with at least ``min_stack_groups`` members is served stacked.  Within
-    a bucket, members are sub-bucketed by ``(batch size, k)`` so each
-    stacked inference runs over a uniform-size batch — no zero-padding
-    (padded rows would be wasted GEMM work at fleet scale, where most
-    groups carry a single query) — and top-k selection runs as ONE
-    batched call per sub-bucket.  ``argpartition``/``argsort`` operate
-    row-wise along the last axis, so the batched selection is
-    bit-identical to per-group calls with the same ``k``.  The returned
-    list aligns with ``groups``: a ``(results, report)`` pair for groups
-    served here, ``None`` for groups the caller must route through the
-    per-model path — reference backend, no same-shaped partner this tick
-    (heterogeneous-shape fallback), or an under-filled bucket.
-
-    The per-group :class:`ResourceReport` books the same MACs the
-    per-model dispatch would have measured (:func:`group_macs`),
-    so the caller attributes cost group by group exactly as before.
-    """
-    served: List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]] = [
-        None
-    ] * len(groups)
-    buckets: "OrderedDict[Tuple[StackKey, int], List[int]]" = OrderedDict()
-    for pos, (_, model, histories, _) in enumerate(groups):
-        key = stack_key(model)
-        if key is None:
-            continue
-        buckets.setdefault((key, len(histories[0])), []).append(pos)
-
-    for (key, steps), members in buckets.items():
-        if len(members) < min_stack_groups:
-            continue
-        stack = stack_cache.stack_for(key)
-        sub_buckets: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
-        for pos in members:
-            sub_buckets.setdefault(
-                (len(groups[pos][2]), groups[pos][3]), []
-            ).append(pos)
-
-        for (size, k), sub in sub_buckets.items():
-            rows = [stack.ensure(groups[pos][0], groups[pos][1]) for pos in sub]
-            layers, head_w, head_b, temps = stack.gather(rows)
-            encoded = spec.encode_windows(
-                [history for pos in sub for history in groups[pos][2]]
-            )
-            x = encoded.reshape(len(sub), size, steps, spec.width)
-            if x.dtype != stack.dtype:
-                x = x.astype(stack.dtype)
-
-            last = stacked_infer_last(x, layers)  # (M, size, H)
-            logits = np.matmul(last, head_w)
-            logits += head_b[:, None, :]
-            # Always divide: rows store temperature 1.0 for no-privacy
-            # models and x / 1.0 is IEEE-exact, matching the per-model
-            # skip.
-            logits /= temps[:, None, None]
-            log_probs = log_softmax_np(logits)
-
-            order = top_k_indices(log_probs, k, axis=-1)  # (M, size, k)
-            confidences = np.exp(np.take_along_axis(log_probs, order, axis=-1))
-            locations = order.tolist()
-            confidence_rows = confidences.tolist()
-            macs = group_macs(key, steps, size)
-            for m, pos in enumerate(sub):
-                results = [
-                    list(zip(loc_row, conf_row))
-                    for loc_row, conf_row in zip(locations[m], confidence_rows[m])
-                ]
-                served[pos] = (results, _compute_report(macs))
-    return served
 
 
 #: One resolved prediction group for :func:`dispatch_tick`:

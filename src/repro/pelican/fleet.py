@@ -53,7 +53,6 @@ from repro.pelican.dispatch import (
     ProbePayload,
     dispatch_model_batch,
     dispatch_prior_batch,
-    dispatch_stacked_tick,
     dispatch_tick,
     group_requests,
     probe_response,
@@ -61,6 +60,9 @@ from repro.pelican.dispatch import (
 )
 from repro.pelican.registry import ModelRegistry
 from repro.pelican.resilience import ResiliencePolicy, ResilienceStats
+
+# Kept resolvable for perfbench/tracing.py's span sites (see stacking.py).
+from repro.pelican.stacking import stacked_path_removed as dispatch_stacked_tick  # noqa: F401
 from repro.pelican.storage import BlobStore
 from repro.pelican.system import OnboardedUser, Pelican
 from repro.pelican.transport import Channel
@@ -127,14 +129,6 @@ class Fleet:
         layer exposes the same ``resilience_stats`` surface, and so a
         cluster can share one stats book across its shards.  ``None``
         policy (or the null policy) leaves behaviour byte-identical.
-    stacked:
-        Serve cloud prediction groups through the cross-model stacked
-        dispatch (DESIGN.md §12): same-shaped models' groups in one tick
-        coalesce into batched GEMM calls over stacked weights.  A pure
-        compute strategy — rankings are identical, confidences agree to
-        float round-off, and the report signature is bit-identical to
-        the per-model path (the differential fuzz harness compares
-        exactly).
     """
 
     def __init__(
@@ -146,10 +140,8 @@ class Fleet:
         registry_store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
-        stacked: bool = False,
     ) -> None:
         self.pelican = pelican
-        self.stacked = stacked
         self._registry_store = registry_store
         self.resilience = resilience
         self.resilience_stats = (
@@ -249,7 +241,7 @@ class Fleet:
         with per-probe confidences and additionally mirrored into the
         report's adversary attribution overlay.
         """
-        responses = self._serve_groups(requests, self._resolve, stacked=self.stacked)
+        responses = self._serve_groups(requests, self._resolve)
         return [r for r in responses if r is not None]
 
     def _resolve(self, user_id: int, user: OnboardedUser) -> Tuple[Any, None]:
@@ -267,7 +259,6 @@ class Fleet:
         users: Optional[Dict[int, OnboardedUser]] = None,
         channel: Optional[Channel] = None,
         path: Optional[str] = None,
-        stacked: bool = False,
     ) -> List[Optional[QueryResponse]]:
         """The one serving loop: group, then resolve, compute and bill.
 
@@ -279,8 +270,8 @@ class Fleet:
            (DESIGN.md §9, §11) — so registry ``get`` order, LRU order and
            a flaky registry's draws are those of a group-by-group loop.
         2. **Compute** every neural prediction group, local and cloud, in
-           :meth:`_compute_groups` (one grouped kernel per shape bucket;
-           stacked first when ``stacked``, DESIGN.md §12).
+           :meth:`_compute_groups` (one grouped kernel per shape bucket,
+           DESIGN.md §7).
         3. **Bill** in arrival order through :meth:`_serve_group` on this
            fleet's report, which also answers what phase 2 left (probes,
            the ``prior`` tier, reference-backend models).
@@ -298,7 +289,7 @@ class Fleet:
             user = users[user_id]
             model, tier = resolve(user_id, user)
             groups.append(_Group(user, model, tier, k, is_probe, indices))
-        served = self._compute_groups(requests, groups, stacked)
+        served = self._compute_groups(requests, groups)
         responses: List[Optional[QueryResponse]] = [None] * len(requests)
         for (user, model, tier, k, is_probe, indices), result in zip(groups, served):
             if model is None:
@@ -324,44 +315,24 @@ class Fleet:
         self,
         requests: Sequence[QueryRequest],
         groups: Sequence[_Group],
-        stacked: bool,
     ) -> List[Optional[Tuple[List, ResourceReport]]]:
         """Answers for every resolved prediction group a tick kernel can
         serve, aligned with ``groups``; ``None`` for the rest.
 
-        Under ``stacked`` the cloud groups go
-        through :func:`~repro.pelican.dispatch.dispatch_stacked_tick`
-        first; every group still unanswered goes through
-        :func:`~repro.pelican.dispatch.dispatch_tick`.
+        Every neural prediction group goes through one
+        :func:`~repro.pelican.dispatch.dispatch_tick` call.
         """
-        spec = self.pelican.spec
         served: List[Optional[Tuple[List, ResourceReport]]] = [None] * len(groups)
         pending = [
             pos
             for pos, group in enumerate(groups)
             if group.model is not None and not group.is_probe and group.tier != "prior"
         ]
-        histories = {
-            pos: [requests[i].history for i in groups[pos].indices] for pos in pending
-        }
-        if stacked:
-            cloud = [
-                pos
-                for pos in pending
-                if groups[pos].user.endpoint.mode == DeploymentMode.CLOUD
-            ]
-            stacked_groups = [
-                (groups[pos].user.user_id, groups[pos].model, histories[pos], groups[pos].k)
-                for pos in cloud
-            ]
-            for pos, result in zip(
-                cloud,
-                dispatch_stacked_tick(self.registry.stack_cache, spec, stacked_groups),
-            ):
-                served[pos] = result
-            pending = [pos for pos in pending if served[pos] is None]
-        tick_groups = [(groups[pos].model, histories[pos], groups[pos].k) for pos in pending]
-        for pos, result in zip(pending, dispatch_tick(spec, tick_groups)):
+        tick_groups = [
+            (group.model, [requests[i].history for i in group.indices], group.k)
+            for group in (groups[pos] for pos in pending)
+        ]
+        for pos, result in zip(pending, dispatch_tick(self.pelican.spec, tick_groups)):
             served[pos] = result
         return served
 

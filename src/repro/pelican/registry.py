@@ -32,7 +32,6 @@ import numpy as np
 from repro.models.architecture import NextLocationModel
 from repro.nn.serialization import encode_compact, logical_nbytes
 from repro.pelican.deployment import rebuild_personal_model, serialize_personal_model
-from repro.pelican.stacking import WeightStackCache
 from repro.pelican.storage import BlobStore, MemoryBlobStore
 
 
@@ -90,13 +89,6 @@ class ModelRegistry:
         )
         self._live: "OrderedDict[int, NextLocationModel]" = OrderedDict()
         self.stats = RegistryStats()
-        #: Stacked-weight cache over the live set (DESIGN.md §12).  The
-        #: registry owns it so coherence is structural: every transition
-        #: that replaces or drops a live model invalidates the user's
-        #: stack rows here, in the same call.  Cold loads need no hook —
-        #: they rebuild bit-identically from the durable blob, and any
-        #: blob change flows through :meth:`register`.
-        self.stack_cache = WeightStackCache()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -138,7 +130,6 @@ class ModelRegistry:
         self._blobs[user_id] = encode_compact(blob)
         self._live.pop(user_id, None)
         self._live[user_id] = model
-        self.stack_cache.invalidate(user_id)
         self._evict_over_capacity()
         return len(blob)
 
@@ -191,7 +182,6 @@ class ModelRegistry:
             del self._live[user_id]
             self.stats.evictions += 1
             self.stats.eviction_log.append(user_id)
-            self.stack_cache.invalidate(user_id)
             return True
         return False
 
@@ -202,4 +192,3 @@ class ModelRegistry:
             evicted, _ = self._live.popitem(last=False)
             self.stats.evictions += 1
             self.stats.eviction_log.append(evicted)
-            self.stack_cache.invalidate(evicted)

@@ -20,9 +20,8 @@ produces a **rebatched schedule** — query event times are replaced by
 their flush times (seqs preserved), lifecycle events and audit probes
 pass through untouched — and the fleet replays it through the ordinary
 ``run``.  Micro-batches become same-tick coalesced batches on the event
-clock, so chaos perturbation, resilience, stacked dispatch, worker
-processes, and blob stores all apply to front-door traffic completely
-unchanged.
+clock, so chaos perturbation, resilience, shards and blob stores all
+apply to front-door traffic completely unchanged.
 
 The :class:`LatencyBook` sits alongside the MAC/seconds books: per
 answered request it decomposes simulated latency into queueing (arrival
@@ -254,7 +253,8 @@ class ServiceFrontDoor:
         self.stats = ServiceStats()
         self.book = LatencyBook(deadline=self._resolve_deadline())
         #: seq → (arrival time, flush time, flush service seconds) for
-        #: every admitted prediction query of the runs so far.
+        #: every admitted prediction query of the latest :meth:`admit`.
+        #: Reset per admission: every schedule numbers its seqs afresh.
         self._admission: Dict[int, Tuple[float, float, float]] = {}
 
     def _resolve_deadline(self) -> float:
@@ -285,6 +285,7 @@ class ServiceFrontDoor:
         ``queue_capacity`` requests already waiting are rejected.
         """
         cfg = self.config
+        self._admission = {}
         admitted = FleetSchedule()
         queries: List[FleetEvent] = []
         for event in schedule.ordered():

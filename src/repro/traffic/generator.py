@@ -6,9 +6,9 @@ schedule file, not a measured scenario.  This module compiles a *traffic
 model* into a schedule instead: seeded Poisson arrivals per simulated
 device, diurnal rate curves, flash-crowd bursts, and onboard/update
 churn.  The output is an ordinary ``FleetSchedule``, so generated load
-flows through every existing axis (chaos, resilience, stacked dispatch,
-worker processes, blob stores) unchanged, and through the service front
-door (:mod:`repro.pelican.service`) for admission control and latency
+flows through every existing axis (chaos, resilience, shards, blob
+stores) unchanged, and through the service front door
+(:mod:`repro.pelican.service`) for admission control and latency
 accounting.
 
 The generator is **open-loop**: arrival times never depend on how fast

@@ -25,12 +25,6 @@ fleet layer advertises:
   is byte-identical to no policy at all; under an active policy every
   query is answered or counted shed (conservation); and same-seed runs
   are bit-deterministic end to end, breaker transition log included;
-* **stacked-dispatch parity** (DESIGN.md §12) — serving through the
-  cross-model stacked dispatch returns the exact same rankings as the
-  per-model path (confidences to 1e-9 relative, no absolute slack),
-  produces a bit-identical report signature, replays bit-identically on
-  the same seed, and stays correct across lifecycle schedules whose
-  onboards/updates/evictions must invalidate the weight-stack cache;
 * **store-axis identity** (DESIGN.md §14) — replaying a lifecycle
   schedule over a memory-, disk-, or tiered-backed registry store
   returns bit-identical responses, per-endpoint ledgers, eviction logs,
@@ -42,7 +36,7 @@ fleet layer advertises:
   whose front-door runs match a one-query-at-a-time replay of the
   admitted (rebatched) schedule exactly, conserve every query
   (answered + shed + rejected == generated), and rerun bit-identically
-  on the same seed across the stacked × store axes.
+  on the same seed across the store axis.
 
 The schedule count is env-tunable so CI can smoke a subset::
 
@@ -423,110 +417,6 @@ def test_cluster_breaker_log_determinism(base, tiny_corpus, seed):
     assert rerun_cluster.signature() == cluster.signature()
 
 
-def assert_stacked_parity(stacked_responses, plain_responses):
-    """Exact rankings, 1e-9-relative confidences, matched identity fields.
-
-    The stacked kernel schedules the same arithmetic through differently
-    blocked GEMMs, so confidences may differ in the last few ulps — but
-    rankings must be *exactly* the per-model path's, and probe
-    confidences ride the per-model path untouched, so they compare
-    bit-exact.
-    """
-    assert len(stacked_responses) == len(plain_responses)
-    for stacked, plain in zip(stacked_responses, plain_responses):
-        assert (stacked.user_id, stacked.time, stacked.seq) == (
-            plain.user_id,
-            plain.time,
-            plain.seq,
-        )
-        assert stacked.confidences == plain.confidences  # probes: bit-exact
-        assert [loc for loc, _ in stacked.top_k] == [loc for loc, _ in plain.top_k]
-        np.testing.assert_allclose(
-            [conf for _, conf in stacked.top_k],
-            [conf for _, conf in plain.top_k],
-            rtol=1e-9,
-            atol=0.0,
-        )
-
-
-@pytest.mark.parametrize("seed", range(NUM_SCHEDULES))
-def test_stacked_schedule_differential_parity(base, tiny_corpus, seed):
-    """Stacked vs per-model dispatch over generated schedules: exact
-    rankings, 1e-9 confidences, bit-identical signatures and reruns."""
-    _, fleet0, splits = base
-    schedule = generate_schedule(tiny_corpus, splits, seed)
-
-    plain = copy.deepcopy(fleet0)
-    plain_responses = plain.run(schedule)
-
-    stacked = copy.deepcopy(fleet0)
-    stacked.stacked = True
-    responses = stacked.run(schedule)
-
-    assert_stacked_parity(responses, plain_responses)
-    # The books never see the strategy change: per-group MACs are booked
-    # at the per-model-equivalent integer rate, registry resolution and
-    # channel billing run in the identical order.
-    assert stacked.report.signature() == plain.report.signature()
-    assert_channel_conserved(stacked.pelican.channel)
-
-    rerun = copy.deepcopy(fleet0)
-    rerun.stacked = True
-    assert rerun.run(schedule) == responses  # same seed => bit-identical
-    assert rerun.report.signature() == stacked.report.signature()
-
-
-@pytest.mark.parametrize("seed", range(0, NUM_SCHEDULES, 5))
-def test_stacked_audit_schedule_parity(base, tiny_corpus, probe_pool, seed):
-    """Probe traffic interleaved with stacked serving: probes bypass the
-    stack (bit-exact confidences) and every ledger still conserves."""
-    _, fleet0, splits = base
-    schedule = generate_schedule(tiny_corpus, splits, 5000 + seed)
-    rng = np.random.default_rng((13, seed))
-    ticks = sorted({e.time for e in schedule.ordered()}) or [0.0]
-    for uid, batches in probe_pool.items():
-        for batch in batches:
-            if rng.random() < 0.75:
-                schedule.probe(float(rng.choice(ticks)), uid, batch)
-
-    plain = copy.deepcopy(fleet0)
-    plain_responses = plain.run(schedule)
-
-    stacked = copy.deepcopy(fleet0)
-    stacked.stacked = True
-    responses = stacked.run(schedule)
-
-    assert_stacked_parity(responses, plain_responses)
-    assert stacked.report.signature() == plain.report.signature()
-    assert_channel_conserved(stacked.pelican.channel)
-    for uid, user in stacked.pelican.users.items():
-        plain_user = plain.pelican.users[uid]
-        assert user.endpoint.stats.queries == plain_user.endpoint.stats.queries
-
-
-@pytest.mark.parametrize("seed", range(NUM_LIFECYCLE_SCHEDULES))
-def test_stacked_lifecycle_schedule_invalidation(base, tiny_corpus, seed):
-    """Lifecycle schedules under stacking: every onboard, update, and
-    capacity-1 LRU eviction must invalidate the weight-stack rows, or a
-    post-update query would answer from pre-update weights and break
-    ranking parity here."""
-    pristine, _, splits = base
-    schedule = generate_schedule(tiny_corpus, splits, 1000 + seed, include_onboards=True)
-
-    plain = Fleet(copy.deepcopy(pristine), registry_capacity=1)
-    plain_responses = plain.run(schedule)
-
-    stacked = Fleet(copy.deepcopy(pristine), registry_capacity=1, stacked=True)
-    responses = stacked.run(schedule)
-
-    assert_stacked_parity(responses, plain_responses)
-    assert stacked.report.signature() == plain.report.signature()
-
-    rerun = Fleet(copy.deepcopy(pristine), registry_capacity=1, stacked=True)
-    assert rerun.run(schedule) == responses
-    assert rerun.report.signature() == stacked.report.signature()
-
-
 @pytest.mark.parametrize("seed", range(NUM_LIFECYCLE_SCHEDULES))
 def test_store_axis_differential_sweep(base, tiny_corpus, seed, tmp_path):
     """Memory vs disk vs tiered registry stores over generated lifecycle
@@ -764,32 +654,23 @@ def test_generator_store_axis_determinism(base, seed, store_kind, tmp_path):
     assert run(store_kind, "b") == reference
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
 @pytest.mark.parametrize("seed", range(NUM_LIFECYCLE_SCHEDULES))
-def test_generator_stacked_axis_determinism(base, seed, stacked):
-    """Same-seed front-door reruns are bit-identical with stacked
-    dispatch on or off, and the stacked run keeps exact ranking parity
-    (and an identical signature) with the per-model path."""
+def test_generator_front_door_determinism(base, seed):
+    """Same-seed front-door reruns are bit-identical."""
     from repro.pelican import ServiceFrontDoor
 
     pristine, _, splits = base
     schedule, service = generate_traffic_run(splits, seed)
 
-    def run(use_stacked):
-        fleet = Fleet(
-            copy.deepcopy(pristine), registry_capacity=1, stacked=use_stacked
-        )
+    def run():
+        fleet = Fleet(copy.deepcopy(pristine), registry_capacity=1)
         front = ServiceFrontDoor(fleet, service)
         return front.run(schedule), front.signature()
 
-    responses, signature = run(stacked)
-    rerun_responses, rerun_signature = run(stacked)
+    responses, signature = run()
+    rerun_responses, rerun_signature = run()
     assert rerun_responses == responses
     assert rerun_signature == signature
-    if stacked:
-        plain_responses, plain_signature = run(False)
-        assert_stacked_parity(responses, plain_responses)
-        assert signature == plain_signature
 
 
 @pytest.mark.parametrize("seed", range(min(NUM_LIFECYCLE_SCHEDULES, 3)))

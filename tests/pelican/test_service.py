@@ -329,6 +329,33 @@ class TestFrontDoorServing:
         assert statuses.count("rejected") == 3
         assert front.health()["status"] == "rejecting"
 
+    def test_second_submit_does_not_see_first_admissions(self, service_base):
+        """Every submit numbers its schedule from seq 0, so admissions
+        booked by an earlier submit must not turn this submit's
+        rejections into sheds; the stats and latency books keep
+        accumulating across both."""
+        pristine, splits, _ = service_base
+        fleet = Fleet(copy.deepcopy(pristine), registry_capacity=2)
+        for uid, (train, _) in sorted(splits.items()):
+            fleet.onboard(uid, train, deployment=DeploymentMode.CLOUD)
+        front = ServiceFrontDoor(
+            fleet, ServiceConfig(window=10.0, max_batch=64, queue_capacity=1)
+        )
+        uid, (_, holdout) = sorted(splits.items())[0]
+        history = holdout.windows[0].history
+        first = front.submit(
+            [ServiceRequest(time=t, user_id=uid, history=history) for t in (0.0, 20.0, 40.0, 60.0)]
+        )
+        assert [o.status for o in first] == ["ok"] * 4
+        second = front.submit(
+            [ServiceRequest(time=100.0, user_id=uid, history=history) for _ in range(4)]
+        )
+        assert [o.status for o in second] == ["ok", "rejected", "rejected", "rejected"]
+        assert front.stats.rejected == 3
+        assert front.stats.admitted == 5
+        assert front.book.answered == 5
+        assert front.shed == 0
+
     def test_queue_delay_sheds_through_resilience_path(self, service_base):
         """A 60s micro-batch window against a 1s resilience deadline:
         every admitted query's queueing delay blows the deadline, so the

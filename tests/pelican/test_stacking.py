@@ -1,48 +1,20 @@
-"""Weight-stack cache, registry coherence, and stacked-tick dispatch
-(DESIGN.md §12).
+"""Bucket identity of the tick kernel (DESIGN.md §7).
 
-Unit-level counterpart of the fuzz harness's differential tests: the
-:class:`WeightStack` row lifecycle (copy-in, reuse, invalidate, free-list
-refill, zero-copy gather), the registry's structural coherence hooks
-(register / explicit evict / LRU eviction all drop stack rows), the
-stacked tick dispatcher's parity and *integer MAC equality* against the
-per-model path, the heterogeneous-shape fallback (odd-shaped and
-reference-backend models route around the stack without double billing),
-and a 2-shard stacked cluster run matching its per-model twin.
+:func:`stack_key` decides which models' groups share one grouped kernel
+call and, through :func:`~repro.pelican.dispatch.group_macs`, what each
+group books.
 """
 
-import copy
-
 import numpy as np
-import pytest
 
-from repro.data import CorpusConfig, SpatialLevel, generate_corpus
-from repro.data.features import FeatureSpec, SessionFeatures
-from repro.models import (
-    GeneralModelConfig,
-    NextLocationModel,
-    PersonalizationConfig,
-    PersonalizationMethod,
-)
-from repro.pelican import (
-    Cluster,
-    DeploymentMode,
-    Fleet,
-    FleetSchedule,
-    ModelRegistry,
-    Pelican,
-    PelicanConfig,
-    WeightStack,
-    WeightStackCache,
-    stack_key,
-)
-from repro.pelican.dispatch import dispatch_model_batch, dispatch_stacked_tick
+from repro.data.features import FeatureSpec
+from repro.models import NextLocationModel
+from repro.pelican import stack_key
 
-LEVEL = SpatialLevel.BUILDING
 SPEC = FeatureSpec(num_locations=6)
 
 
-def _model(seed=0, hidden=8, layers=1, temperature=1.0, surplus=False):
+def _model(seed=0, hidden=8, layers=1, surplus=False):
     model = NextLocationModel(
         input_width=SPEC.width,
         num_locations=SPEC.num_locations,
@@ -53,25 +25,8 @@ def _model(seed=0, hidden=8, layers=1, temperature=1.0, surplus=False):
     )
     if surplus:
         model.add_surplus_lstm(np.random.default_rng(seed + 1))
-    model.set_privacy_temperature(temperature)
     model.eval()
     return model
-
-
-def _histories(seed, count, steps):
-    rng = np.random.default_rng(seed)
-    return [
-        tuple(
-            SessionFeatures(
-                entry_bin=int(rng.integers(0, SPEC.entry_bins)),
-                duration_bin=int(rng.integers(0, SPEC.duration_bins)),
-                location=int(rng.integers(0, SPEC.num_locations)),
-                day_of_week=int(rng.integers(0, SPEC.days)),
-            )
-            for _ in range(steps)
-        )
-        for _ in range(count)
-    ]
 
 
 class TestStackKey:
@@ -89,294 +44,3 @@ class TestStackKey:
         assert stack_key(_model(1, layers=2)) != base
         # A TL-FE surplus layer changes the cell stack, never mixes.
         assert stack_key(_model(1, surplus=True)) != base
-
-
-class TestWeightStack:
-    def test_ensure_copies_weights_bit_exact(self):
-        model = _model(3, temperature=1e-3)
-        stack = WeightStack(stack_key(model))
-        row = stack.ensure(7, model)
-        layers, head_w, head_b, temps = stack.gather([row])
-        cell = model.lstm.cells[0]
-        np.testing.assert_array_equal(layers[0][0][0], cell.weight_ih.data)
-        np.testing.assert_array_equal(layers[0][1][0], cell.weight_hh.data)
-        np.testing.assert_array_equal(layers[0][2][0], cell.bias.data)
-        np.testing.assert_array_equal(head_w[0], model.head.weight.data)
-        np.testing.assert_array_equal(head_b[0], model.head.bias.data)
-        assert temps[0] == 1e-3
-
-    def test_present_row_is_trusted_until_invalidated(self):
-        """ensure() never recopies a live row — which is exactly why the
-        registry MUST invalidate on every replace/drop transition."""
-        model = _model(4)
-        stack = WeightStack(stack_key(model))
-        row = stack.ensure(1, model)
-        before = model.head.bias.data.copy()
-        model.head.bias.data += 1.0  # mutate after copy-in
-        assert stack.ensure(1, model) == row  # cache hit, stale by design
-        np.testing.assert_array_equal(stack.gather([row])[2][0], before)
-        assert stack.invalidate(1)
-        fresh = stack.ensure(1, model)
-        np.testing.assert_array_equal(stack.gather([fresh])[2][0], before + 1.0)
-
-    def test_free_list_reuses_rows(self):
-        stack = WeightStack(stack_key(_model(0)))
-        rows = [stack.ensure(uid, _model(uid)) for uid in (1, 2, 3)]
-        stack.invalidate(2)
-        assert stack.ensure(9, _model(9)) == rows[1]  # freed slot refilled
-        assert len(stack) == 3
-        assert not stack.invalidate(2)  # already gone
-
-    def test_contiguous_gather_is_zero_copy(self):
-        stack = WeightStack(stack_key(_model(0)))
-        for uid in (1, 2, 3):
-            stack.ensure(uid, _model(uid))
-        layers, head_w, _, _ = stack.gather([0, 1, 2])
-        assert np.shares_memory(layers[0][0], stack._w_ih[0])
-        assert np.shares_memory(head_w, stack._head_w)
-        # Permuted (or duplicate) rows fall back to a gather copy.
-        layers, head_w, _, _ = stack.gather([2, 0, 1])
-        assert not np.shares_memory(head_w, stack._head_w)
-        np.testing.assert_array_equal(head_w[1], stack._head_w[0])
-
-    def test_cache_invalidates_across_all_stacks(self):
-        cache = WeightStackCache()
-        small, large = _model(1), _model(2, hidden=5)
-        cache.stack_for(stack_key(small)).ensure(7, small)
-        cache.stack_for(stack_key(large)).ensure(7, large)
-        cache.invalidate(7)
-        assert all(len(stack) == 0 for stack in cache.stacks())
-
-
-class TestRegistryCoherence:
-    """Every registry transition that replaces or drops a live model must
-    drop the user's stack rows (DESIGN.md §12 coherence contract)."""
-
-    def _stacked_row(self, registry, uid):
-        model = registry.get(uid)
-        stack = registry.stack_cache.stack_for(stack_key(model))
-        stack.ensure(uid, model)
-        return stack
-
-    def test_reregister_invalidates(self):
-        registry = ModelRegistry(capacity=4)
-        registry.register(1, _model(1))
-        stack = self._stacked_row(registry, 1)
-        registry.register(1, _model(99))  # update redeploy
-        assert 1 not in stack.rows
-
-    def test_explicit_evict_invalidates(self):
-        registry = ModelRegistry(capacity=4)
-        registry.register(1, _model(1))
-        stack = self._stacked_row(registry, 1)
-        registry.evict(1)
-        assert 1 not in stack.rows
-
-    def test_lru_eviction_invalidates(self):
-        registry = ModelRegistry(capacity=1)
-        registry.register(1, _model(1))
-        stack = self._stacked_row(registry, 1)
-        registry.register(2, _model(2))  # capacity 1: evicts user 1
-        assert 1 not in stack.rows
-
-    def test_update_mid_run_serves_fresh_weights(self):
-        """End to end through the dispatcher: after an update redeploy the
-        next stacked tick must answer from the NEW weights — if the
-        register hook failed to invalidate, this would serve v1."""
-        registry = ModelRegistry(capacity=4)
-        registry.register(1, _model(1))
-        registry.register(2, _model(2))
-        groups = [
-            (1, registry.get(1), _histories(11, 2, 3), 3),
-            (2, registry.get(2), _histories(12, 2, 3), 3),
-        ]
-        assert all(r is not None for r in dispatch_stacked_tick(
-            registry.stack_cache, SPEC, groups
-        ))
-        registry.register(1, _model(41))  # redeploy with fresh weights
-        groups = [
-            (1, registry.get(1), _histories(11, 2, 3), 3),
-            (2, registry.get(2), _histories(12, 2, 3), 3),
-        ]
-        [(stacked_results, _), _] = dispatch_stacked_tick(
-            registry.stack_cache, SPEC, groups
-        )
-        expected, _ = dispatch_model_batch(_model(41), SPEC, groups[0][2], 3)
-        assert [
-            [loc for loc, _ in row] for row in stacked_results
-        ] == [[loc for loc, _ in row] for row in expected]
-
-
-class TestStackedTickDispatch:
-    def test_parity_and_integer_mac_equality(self):
-        """Rankings exact, confidences 1e-9-relative with no absolute
-        slack, and the booked MACs are the *same integer* the flop
-        counter measures on the per-model path — the root of the
-        signature-identity guarantee."""
-        cache = WeightStackCache()
-        models = [_model(s, temperature=1e-3) for s in (1, 2, 3)]
-        groups = [
-            (uid, model, _histories(20 + uid, size, 4), k)
-            for uid, (model, size, k) in enumerate(zip(models, (3, 1, 2), (3, 1, 4)))
-        ]
-        served = dispatch_stacked_tick(cache, SPEC, groups)
-        assert all(entry is not None for entry in served)
-        for (uid, model, histories, k), (results, report) in zip(groups, served):
-            expected, measured = dispatch_model_batch(model, SPEC, histories, k)
-            assert report.macs == measured.macs  # integer equality
-            for got, want in zip(results, expected):
-                assert [loc for loc, _ in got] == [loc for loc, _ in want]
-                np.testing.assert_allclose(
-                    [conf for _, conf in got],
-                    [conf for _, conf in want],
-                    rtol=1e-9,
-                    atol=0.0,
-                )
-
-    def test_heterogeneous_shapes_fall_back(self):
-        """Odd-shaped, reference-backend, and partnerless models come
-        back ``None`` — the caller's per-model path serves them, in the
-        same tick, with no stack involvement."""
-        cache = WeightStackCache()
-        unstackable = _model(5)
-        unstackable.set_backend("reference")
-        groups = [
-            (0, _model(1), _histories(30, 2, 3), 3),
-            (1, _model(2), _histories(31, 2, 3), 3),
-            (2, _model(3, hidden=5), _histories(32, 2, 3), 3),  # partnerless
-            (3, unstackable, _histories(33, 2, 3), 3),
-        ]
-        served = dispatch_stacked_tick(cache, SPEC, groups)
-        assert served[0] is not None and served[1] is not None
-        assert served[2] is None and served[3] is None
-
-    def test_underfilled_bucket_is_skipped(self):
-        cache = WeightStackCache()
-        groups = [(0, _model(1), _histories(40, 2, 3), 3)]
-        assert dispatch_stacked_tick(cache, SPEC, groups) == [None]
-        # Same shape but different window lengths: separate buckets,
-        # both singletons, both skipped.
-        groups = [
-            (0, _model(1), _histories(41, 2, 3), 3),
-            (1, _model(2), _histories(42, 2, 5), 3),
-        ]
-        assert dispatch_stacked_tick(cache, SPEC, groups) == [None, None]
-
-
-# ----------------------------------------------------------------------
-# Fleet- and cluster-level integration
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def trio_pelican():
-    """A trained pelican with 3 personal users — enough for a tick that
-    mixes stacked groups with a heterogeneous fallback."""
-    corpus = generate_corpus(
-        CorpusConfig(
-            num_buildings=12,
-            num_contributors=3,
-            num_personal_users=3,
-            num_days=14,
-            seed=5,
-        )
-    )
-    pelican = Pelican(
-        corpus.spec(LEVEL),
-        PelicanConfig(
-            general=GeneralModelConfig(hidden_size=12, epochs=2, patience=None),
-            personalization=PersonalizationConfig(epochs=2, patience=None),
-            privacy_temperature=1e-3,
-            seed=5,
-        ),
-    )
-    train, _ = corpus.contributor_dataset(LEVEL).split_by_user(0.8)
-    pelican.initial_training(train)
-    splits = {
-        uid: corpus.user_dataset(uid, LEVEL).split(0.8) for uid in corpus.personal_ids
-    }
-    return corpus, pelican, splits
-
-
-def _query_schedule(corpus, splits, repeats=2):
-    schedule = FleetSchedule()
-    for tick in range(repeats):
-        for uid in corpus.personal_ids:
-            for window in splits[uid][1].windows[:2]:
-                schedule.query(float(10 * (tick + 1)), uid, window.history, k=3)
-    return schedule
-
-
-def _assert_run_parity(stacked_responses, plain_responses):
-    assert len(stacked_responses) == len(plain_responses)
-    for stacked, plain in zip(stacked_responses, plain_responses):
-        assert stacked.user_id == plain.user_id
-        assert [loc for loc, _ in stacked.top_k] == [loc for loc, _ in plain.top_k]
-        np.testing.assert_allclose(
-            [conf for _, conf in stacked.top_k],
-            [conf for _, conf in plain.top_k],
-            rtol=1e-9,
-            atol=0.0,
-        )
-
-
-class TestFleetHeterogeneousTick:
-    def test_mixed_shape_tick_matches_per_model_books_exactly(self, trio_pelican):
-        """Two default-method (TL-FE) cloud users stack; a TL-FT user —
-        no surplus layer, so a different stack key — rides the per-model
-        fallback in the SAME tick.  Answers, the report signature, and
-        every per-endpoint query ledger must match the per-model run —
-        in particular the fallback user's exchanges are billed exactly
-        once."""
-        corpus, pelican, splits = trio_pelican
-        ids = corpus.personal_ids
-
-        def build(stacked):
-            fleet = Fleet(copy.deepcopy(pelican), registry_capacity=4, stacked=stacked)
-            for i, uid in enumerate(ids):
-                method = PersonalizationMethod.TL_FT if i == 2 else None
-                fleet.onboard(
-                    uid, splits[uid][0], method=method,
-                    deployment=DeploymentMode.CLOUD,
-                )
-            return fleet
-
-        plain, stacked = build(False), build(True)
-        schedule = _query_schedule(corpus, splits)
-        plain_responses = plain.run(schedule)
-        responses = stacked.run(schedule)
-
-        _assert_run_parity(responses, plain_responses)
-        assert stacked.report.signature() == plain.report.signature()
-        for uid in ids:
-            assert (
-                stacked.pelican.users[uid].endpoint.stats.queries
-                == plain.pelican.users[uid].endpoint.stats.queries
-            )
-        # The stack really ran: the two same-shaped users hold rows, the
-        # TL-FE user never entered any stack.
-        rows = {
-            uid
-            for stack in stacked.registry.stack_cache.stacks()
-            for uid in stack.rows
-        }
-        assert set(ids[:2]) <= rows and ids[2] not in rows
-
-
-class TestStackedCluster:
-    def test_two_shard_stacked_run_matches_plain(self, trio_pelican):
-        corpus, pelican, splits = trio_pelican
-
-        def build(stacked):
-            cluster = Cluster.from_trained(
-                copy.deepcopy(pelican), num_shards=2, registry_capacity=4,
-                stacked=stacked,
-            )
-            for uid in corpus.personal_ids:
-                cluster.onboard(uid, splits[uid][0], deployment=DeploymentMode.CLOUD)
-            return cluster
-
-        plain, stacked = build(False), build(True)
-        schedule = _query_schedule(corpus, splits)
-        plain_responses = plain.run(schedule)
-        responses = stacked.run(schedule)
-        _assert_run_parity(responses, plain_responses)
-        assert stacked.signature() == plain.signature()

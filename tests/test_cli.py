@@ -38,8 +38,9 @@ class TestParser:
 
     def test_workers_flag_is_gone(self):
         for command in ("fleet", "serve-load"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--workers", "2"])
+            for flag in (["--workers", "2"], ["--stacked"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *flag])
 
     def test_placement_choices(self):
         args = build_parser().parse_args(["fleet", "--placement", "least_loaded"])
