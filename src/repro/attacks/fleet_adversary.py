@@ -302,9 +302,8 @@ class AuditAdversary:
 # Direct serve-mode entry points (the benchmark pair)
 # ----------------------------------------------------------------------
 def _endpoints(fleet) -> Dict[int, Any]:
-    """user -> endpoint for a Fleet or Cluster (duck-typed)."""
-    users = fleet.users if not hasattr(fleet, "pelican") else fleet.pelican.users
-    return {uid: user.endpoint for uid, user in users.items()}
+    """user -> endpoint for a Fleet or Cluster."""
+    return {uid: user.endpoint for uid, user in fleet.users.items()}
 
 
 def audit_requests(
@@ -333,8 +332,7 @@ def run_fleet_audit(
     endpoints — asserted by ``tests/attacks/test_fleet_adversary.py`` and
     ``benchmarks/test_audit_matrix.py``.
     """
-    spec = fleet.spec if hasattr(fleet, "spec") else fleet.pelican.spec
-    requests, batches = audit_requests(adversary, spec, targets)
+    requests, batches = audit_requests(adversary, fleet.spec, targets)
     responses = fleet.serve(requests)
     if len(responses) != len(batches):
         # Positional pairing below would silently shift every confidence
@@ -364,7 +362,7 @@ def run_fleet_audit_looped(
     deployed endpoints and per-predictor query counters are restored, so
     running the reference never perturbs the books of the batched path.
     """
-    spec = fleet.spec if hasattr(fleet, "spec") else fleet.pelican.spec
+    spec = fleet.spec
     endpoints = _endpoints(fleet)
     priors = {target.user_id: target.prior for target in targets}
     served: List[Tuple[ProbeBatch, np.ndarray]] = []

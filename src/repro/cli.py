@@ -203,11 +203,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     """Stand up a fleet and compare batched vs. looped query serving."""
     from repro.eval import render_fleet, run_fleet_throughput
 
-    if args.capacity < 0:
-        print(f"--capacity must be >= 0, got {args.capacity}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_stack_args(args):
         return 2
     scale = _SCALES[args.scale]()
     capacity = args.capacity if args.capacity > 0 else None
@@ -238,11 +234,7 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
     """Generate open-loop traffic and serve it through the front door."""
     from repro.eval import render_service_load, run_service_load
 
-    if args.capacity < 0:
-        print(f"--capacity must be >= 0, got {args.capacity}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_stack_args(args):
         return 2
     capacity = args.capacity if args.capacity > 0 else None
     queue_capacity = args.queue_capacity if args.queue_capacity > 0 else None
@@ -286,11 +278,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     """Run the regimes × chaos-policies stress matrix and print it."""
     from repro.eval import render_scenarios, run_scenario_suite
 
-    if args.capacity < 0:
-        print(f"--capacity must be >= 0, got {args.capacity}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_stack_args(args):
         return 2
     capacity = args.capacity if args.capacity > 0 else None
     shards = f", {args.shards} shards" if args.shards > 1 else ""
@@ -322,11 +310,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.attacks import AdversaryClass
     from repro.eval import AUDIT_ATTACKS, render_audit, run_audit_suite
 
-    if args.capacity < 0:
-        print(f"--capacity must be >= 0, got {args.capacity}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_stack_args(args):
         return 2
     probe_attack = AUDIT_ATTACKS[args.attack]()
     unsupported = [
@@ -372,6 +356,37 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name, (_, _, description) in EXPERIMENTS.items():
         print(f"{name:<10} {description}")
     return 0
+
+
+def _add_stack_args(
+    subparser: argparse.ArgumentParser, capacity_default: int
+) -> None:
+    """The shared serving-stack shape: ``--capacity/--shards/--placement``."""
+    subparser.add_argument(
+        "--capacity", type=int, default=capacity_default,
+        help="cloud registry live-model capacity per shard; 0 means "
+        f"unbounded (default {capacity_default})",
+    )
+    subparser.add_argument(
+        "--shards", type=int, default=1,
+        help="cloud shard count; >1 serves through a placement-routed cluster (default 1)",
+    )
+    subparser.add_argument(
+        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
+        help="user->shard placement policy when --shards > 1 (default hash)",
+    )
+
+
+def _bad_stack_args(args: argparse.Namespace) -> bool:
+    """Report an out-of-range ``--capacity``/``--shards`` on stderr;
+    True when the command must exit with status 2."""
+    if args.capacity < 0:
+        print(f"--capacity must be >= 0, got {args.capacity}", file=sys.stderr)
+        return True
+    if args.shards < 1:
+        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+        return True
+    return False
 
 
 def _add_resilience_args(subparser: argparse.ArgumentParser) -> None:
@@ -424,18 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries-per-user", type=int, default=32,
         help="concurrent queries issued per onboarded user (default 32)",
     )
-    fleet.add_argument(
-        "--capacity", type=int, default=64,
-        help="cloud registry live-model capacity per shard; 0 means unbounded (default 64)",
-    )
-    fleet.add_argument(
-        "--shards", type=int, default=1,
-        help="cloud shard count; >1 serves through a placement-routed cluster (default 1)",
-    )
-    fleet.add_argument(
-        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
-        help="user->shard placement policy when --shards > 1 (default hash)",
-    )
+    _add_stack_args(fleet, capacity_default=64)
     fleet.add_argument(
         "--fast", action="store_true",
         help="cut training epochs so setup takes seconds (serving-only results)",
@@ -524,18 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=sorted(CHAOS_POLICIES), default="none",
         help="chaos policy the serving stack runs under (default: none)",
     )
-    serve_load.add_argument(
-        "--capacity", type=int, default=64,
-        help="cloud registry live-model capacity per shard; 0 means unbounded (default 64)",
-    )
-    serve_load.add_argument(
-        "--shards", type=int, default=1,
-        help="cloud shard count; >1 serves through a placement-routed cluster (default 1)",
-    )
-    serve_load.add_argument(
-        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
-        help="user->shard placement policy when --shards > 1 (default hash)",
-    )
+    _add_stack_args(serve_load, capacity_default=64)
     serve_load.add_argument(
         "--store", choices=sorted(STORE_KINDS), default="memory",
         help="durable blob-store tier behind the registry (default memory)",
@@ -565,18 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries-per-user", type=int, default=4,
         help="query ticks per onboarded user (default 4)",
     )
-    scenarios.add_argument(
-        "--capacity", type=int, default=2,
-        help="cloud registry live-model capacity per shard; 0 means unbounded (default 2)",
-    )
-    scenarios.add_argument(
-        "--shards", type=int, default=1,
-        help="cloud shard count; >1 replays every cell on a sharded cluster (default 1)",
-    )
-    scenarios.add_argument(
-        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
-        help="user->shard placement policy when --shards > 1 (default hash)",
-    )
+    _add_stack_args(scenarios, capacity_default=2)
     scenarios.add_argument(
         "--chaos-seed", type=int, default=0,
         help="seed for every fault draw (default 0)",
@@ -625,18 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries-per-user", type=int, default=2,
         help="benign query ticks per onboarded user (default 2)",
     )
-    audit.add_argument(
-        "--capacity", type=int, default=2,
-        help="cloud registry live-model capacity per shard; 0 means unbounded (default 2)",
-    )
-    audit.add_argument(
-        "--shards", type=int, default=1,
-        help="cloud shard count; >1 audits a placement-routed cluster (default 1)",
-    )
-    audit.add_argument(
-        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
-        help="user->shard placement policy when --shards > 1 (default hash)",
-    )
+    _add_stack_args(audit, capacity_default=2)
     audit.add_argument(
         "--fast", action="store_true",
         help="cut training epochs so setup takes seconds (serving-only results)",

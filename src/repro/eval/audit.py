@@ -20,6 +20,7 @@ this, and ``tests/eval/test_audit_golden.py`` pins one canonical run).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,8 @@ from repro.data.dataset import SequenceDataset
 from repro.data.features import SpatialLevel
 from repro.data.regimes import generate_regime_corpus, resolve_regime
 from repro.eval.config import ExperimentScale
+from repro.eval.fleet import build_cell_fleet, named_resilience, trained_pelican
+from repro.pelican.chaos import chaos_policy
 from repro.pelican.defenses import (
     GaussianNoiseDefense,
     RoundingDefense,
@@ -275,17 +278,9 @@ def run_audit_suite(
             )
     if max_instances is None:
         max_instances = scale.attack_instances_per_user
-    from repro.pelican.resilience import resilience_policy
-
-    res_policy = None
-    if resilience is not None and resilience != "none":
-        res_policy = resilience_policy(resilience, seed=chaos_seed, deadline=deadline)
+    res_policy = named_resilience(resilience, chaos_seed, deadline)
     cells: List[AuditCell] = []
     pelican = training_report = None
-    # Imported here: scenarios owns the shared suite machinery (trained
-    # Pelican, cell-fleet construction) and sits in the same layer.
-    from repro.eval.scenarios import build_cell_fleet, trained_pelican
-
     for regime_name in regimes:
         regime = resolve_regime(regime_name)
         corpus = generate_regime_corpus(scale.corpus, regime)
@@ -339,13 +334,12 @@ def run_audit_suite(
                     schedule, probe_tick, spec, audit_targets, planned=planned
                 )
                 fleet = build_cell_fleet(
-                    pelican,
+                    copy.deepcopy(pelican),
                     training_report,
-                    policy,
-                    chaos_seed,
-                    registry_capacity,
                     num_shards=num_shards,
                     placement=placement,
+                    registry_capacity=registry_capacity,
+                    policy=chaos_policy(policy, seed=chaos_seed),
                     resilience=res_policy,
                 )
                 responses = fleet.run(schedule)
@@ -383,8 +377,6 @@ def run_audit_suite(
                         benign_queries=benign_total,
                         adversary_queries=fleet.report.adversary_queries,
                         adversary_network_seconds=fleet.report.adversary_network_seconds,
-                        # ChaosFleet and Cluster both expose the combined
-                        # report + chaos-counter projection here.
                         signature=fleet.signature(),
                         num_shards=num_shards,
                     )

@@ -6,9 +6,9 @@ deployment), then serves an identical concurrent query workload two ways:
 
 * **looped** — the seed path, one endpoint query per request
   (:meth:`~repro.pelican.fleet.Fleet.serve_looped`);
-* **batched** — the fleet path, requests grouped per model and dispatched
-  through the graph-free fused inference kernel in one GEMM stack per
-  group (:meth:`~repro.pelican.fleet.Fleet.serve`).
+* **batched** — the fleet path, requests grouped per model and every
+  group computed by one tick kernel call
+  (:meth:`~repro.pelican.fleet.Fleet.serve`).
 
 The two paths return identical predictions (checked every run); the
 result reports the wall-clock speedup, the serving throughput, and the
@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.data.corpus import generate_corpus
+from repro.data.corpus import MobilityCorpus, generate_corpus
 from repro.data.features import SpatialLevel
 from repro.eval.config import ExperimentScale
 from repro.pelican.accounting import ClusterReport
+from repro.pelican.chaos import ChaosPolicy
+from repro.pelican.cloud import ResourceReport
 from repro.pelican.cluster import Cluster
 from repro.pelican.deployment import DeploymentMode
 from repro.pelican.fleet import Fleet, FleetReport, QueryRequest, QueryResponse
 from repro.pelican.resilience import ResiliencePolicy, resilience_policy
-from repro.pelican.storage import BlobStore, make_blob_store
+from repro.pelican.storage import make_blob_store
 from repro.pelican.system import Pelican, PelicanConfig
 
 DEFAULT_LEVEL = SpatialLevel.BUILDING
@@ -56,6 +58,85 @@ def training_configs(scale: ExperimentScale, fast_setup: bool):
     return general, personalization
 
 
+def named_resilience(
+    name: Optional[str], seed: int, deadline: Optional[float]
+) -> Optional[ResiliencePolicy]:
+    """The resilience preset ``name`` for one run; ``None`` (no policy)
+    for ``None`` or ``"none"``."""
+    if name is None or name == "none":
+        return None
+    return resilience_policy(name, seed=seed, deadline=deadline)
+
+
+def trained_pelican(
+    scale: ExperimentScale,
+    corpus: MobilityCorpus,
+    fast_setup: bool,
+    delta_updates: bool = False,
+) -> Tuple[Pelican, ResourceReport]:
+    """A userless Pelican with its general model trained on ``corpus``'s
+    contributors, plus the training cost.  The scenario and audit suites
+    train once and deepcopy it per cell: regimes only reshape the personal
+    users (contributors are bit-identical across regime corpora, see
+    :func:`repro.data.regimes.generate_regime_corpus`) and faults never
+    touch training."""
+    general, personalization = training_configs(scale, fast_setup)
+    pelican = Pelican(
+        corpus.spec(DEFAULT_LEVEL),
+        PelicanConfig(
+            general=general,
+            personalization=personalization,
+            seed=scale.corpus.seed,
+            delta_updates=delta_updates,
+        ),
+    )
+    train, _ = corpus.contributor_dataset(DEFAULT_LEVEL).split_by_user(0.8)
+    return pelican, pelican.initial_training(train)
+
+
+def build_cell_fleet(
+    pelican: Pelican,
+    training_report: ResourceReport,
+    num_shards: int = 1,
+    placement: str = "hash",
+    registry_capacity: Optional[int] = 64,
+    policy: Optional[ChaosPolicy] = None,
+    resilience: Optional[ResiliencePolicy] = None,
+    store: str = "memory",
+) -> Union[Fleet, Cluster]:
+    """The one serving-stack builder: every eval stack comes from here.
+
+    One shard gets a :class:`~repro.pelican.fleet.Fleet` with the
+    training cost on its cloud book (as ``Fleet.train_cloud`` books it);
+    more get a :class:`~repro.pelican.cluster.Cluster` with the cost on
+    the cluster-level training book.  ``store`` names the blob-store
+    kind (DESIGN.md §14); close it as ``stack.store.close()``.  Takes
+    ownership of ``pelican`` (deepcopy one that other stacks share).
+    """
+    blob_store = make_blob_store(store)
+    if num_shards == 1:
+        fleet = Fleet(
+            pelican,
+            registry_capacity=registry_capacity,
+            registry_store=blob_store,
+            resilience=resilience,
+            policy=policy,
+        )
+        fleet.report.cloud_compute += training_report
+        return fleet
+    cluster = Cluster.from_trained(
+        pelican,
+        num_shards=num_shards,
+        placement=placement,
+        registry_capacity=registry_capacity,
+        policy=policy,
+        resilience=resilience,
+        store=blob_store,
+    )
+    cluster.report.training = cluster.report.training + training_report
+    return cluster
+
+
 @dataclass
 class FleetWorkload:
     """A deployed serving stack plus the concurrent request mix to serve.
@@ -70,17 +151,10 @@ class FleetWorkload:
     requests: List[QueryRequest]
     scale_name: str
     num_shards: int = 1
-    #: The durable blob store behind the registry/cluster, for residency
-    #: reporting and cleanup (:meth:`close`).
-    store: Optional[BlobStore] = None
-    store_kind: str = "memory"
 
     def close(self) -> None:
         """Release any disk-backed store."""
-        if isinstance(self.fleet, Cluster):
-            self.fleet.close()
-        if self.store is not None:
-            self.store.close()
+        self.fleet.store.close()
 
     @property
     def num_users(self) -> int:
@@ -150,35 +224,15 @@ def build_fleet_workload(
     scale, but setup takes seconds instead of minutes.  Only serving
     results are meaningful under it.
     """
-    general, personalization = training_configs(scale, fast_setup)
     corpus = generate_corpus(scale.corpus)
-    spec = corpus.spec(DEFAULT_LEVEL)
-    config = PelicanConfig(
-        general=general,
-        personalization=personalization,
-        seed=scale.corpus.seed,
-        delta_updates=delta_updates,
+    fleet = build_cell_fleet(
+        *trained_pelican(scale, corpus, fast_setup, delta_updates=delta_updates),
+        num_shards=num_shards,
+        placement=placement,
+        registry_capacity=registry_capacity,
+        resilience=resilience,
+        store=store,
     )
-    blob_store = make_blob_store(store)
-    if num_shards == 1:
-        fleet: Union[Fleet, Cluster] = Fleet(
-            Pelican(spec, config),
-            registry_capacity=registry_capacity,
-            registry_store=blob_store,
-            resilience=resilience,
-        )
-    else:
-        fleet = Cluster(
-            spec,
-            config,
-            num_shards=num_shards,
-            placement=placement,
-            registry_capacity=registry_capacity,
-            resilience=resilience,
-            store=blob_store,
-        )
-    train, _ = corpus.contributor_dataset(DEFAULT_LEVEL).split_by_user(0.8)
-    fleet.train_cloud(train)
 
     holdouts = {}
     for i, uid in enumerate(corpus.personal_ids):
@@ -197,8 +251,6 @@ def build_fleet_workload(
         requests=requests,
         scale_name=scale.name,
         num_shards=num_shards,
-        store=blob_store,
-        store_kind=store,
     )
 
 
@@ -243,11 +295,7 @@ def run_fleet_throughput(
     delta_updates: bool = False,
 ) -> FleetThroughputResult:
     """Build a fleet at ``scale`` and compare both serving paths once."""
-    res_policy = None
-    if resilience is not None and resilience != "none":
-        res_policy = resilience_policy(
-            resilience, seed=scale.corpus.seed, deadline=deadline
-        )
+    res_policy = named_resilience(resilience, scale.corpus.seed, deadline)
     workload = build_fleet_workload(
         scale,
         queries_per_user=queries_per_user,

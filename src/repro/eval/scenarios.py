@@ -26,18 +26,16 @@ from repro.data.dataset import SequenceDataset
 from repro.data.features import SpatialLevel
 from repro.data.regimes import resolve_regime, generate_regime_corpus
 from repro.eval.config import ExperimentScale
-from repro.eval.fleet import training_configs
-from repro.pelican.chaos import ChaosFleet, chaos_policy
-from repro.pelican.cluster import Cluster
+from repro.eval.fleet import build_cell_fleet, named_resilience, trained_pelican
+from repro.pelican.chaos import chaos_policy
 from repro.pelican.deployment import DeploymentMode
 from repro.pelican.fleet import FleetSchedule
 from repro.pelican.resilience import (
     DEFAULT_QUERY_DEADLINE,
     ResiliencePolicy,
     measure_availability,
-    resilience_policy,
 )
-from repro.pelican.system import Pelican, PelicanConfig
+from repro.pelican.system import Pelican
 
 LEVEL = SpatialLevel.BUILDING
 
@@ -140,72 +138,6 @@ def build_scenario_schedule(
     return schedule, targets
 
 
-def trained_pelican(scale: ExperimentScale, corpus: MobilityCorpus, fast_setup: bool):
-    """General training happens once per *suite*: regimes only reshape the
-    personal users (contributors are bit-identical across regime corpora,
-    see :func:`repro.data.regimes.generate_regime_corpus`) and chaos never
-    affects training, so every cell starts from a deepcopy of this state.
-    Shared with the audit suite (:mod:`repro.eval.audit`), which crosses
-    the same regimes with defenses instead of chaos policies."""
-    general, personalization = training_configs(scale, fast_setup)
-    pelican = Pelican(
-        corpus.spec(LEVEL),
-        PelicanConfig(
-            general=general,
-            personalization=personalization,
-            seed=scale.corpus.seed,
-        ),
-    )
-    train, _ = corpus.contributor_dataset(LEVEL).split_by_user(0.8)
-    training_report = pelican.initial_training(train)
-    return pelican, training_report
-
-
-def build_cell_fleet(
-    pelican: Pelican,
-    training_report,
-    policy_name: str,
-    chaos_seed: int,
-    registry_capacity: Optional[int],
-    num_shards: int = 1,
-    placement: str = "hash",
-    resilience: Optional[ResiliencePolicy] = None,
-):
-    """A fresh chaos-wrapped serving stack for one matrix cell.
-
-    The single definition of cell construction — shared by the scenario
-    and audit suites — so the K=1-parity and training-attribution
-    invariants cannot drift between them: one shard gets a
-    :class:`~repro.pelican.chaos.ChaosFleet` over a deepcopy of the
-    suite-shared trained Pelican with the general-training cost booked
-    on its cloud book (exactly as ``Fleet.train_cloud`` would have);
-    more shards get a :class:`~repro.pelican.cluster.Cluster` with the
-    same cost at the cluster-level training book.  ``resilience``
-    optionally layers a fault-handling policy (DESIGN.md §11) over the
-    chaos; ``None`` (and the null policy) is byte-identical to today.
-    """
-    policy = chaos_policy(policy_name, seed=chaos_seed)
-    if num_shards == 1:
-        fleet = ChaosFleet(
-            copy.deepcopy(pelican),
-            policy=policy,
-            registry_capacity=registry_capacity,
-            resilience=resilience,
-        )
-        fleet.report.cloud_compute += training_report
-        return fleet
-    fleet = Cluster.from_trained(
-        copy.deepcopy(pelican),
-        num_shards=num_shards,
-        placement=placement,
-        registry_capacity=registry_capacity,
-        policy=policy,
-        resilience=resilience,
-    )
-    fleet.report.training = fleet.report.training + training_report
-    return fleet
-
-
 def _run_cell(
     pelican: Pelican,
     training_report,
@@ -219,8 +151,13 @@ def _run_cell(
     resilience: Optional[ResiliencePolicy] = None,
 ):
     fleet = build_cell_fleet(
-        pelican, training_report, policy_name, chaos_seed, registry_capacity,
-        num_shards=num_shards, placement=placement, resilience=resilience,
+        copy.deepcopy(pelican),
+        training_report,
+        num_shards=num_shards,
+        placement=placement,
+        registry_capacity=registry_capacity,
+        policy=chaos_policy(policy_name, seed=chaos_seed),
+        resilience=resilience,
     )
     responses = fleet.run(schedule)
     hits = sum(
@@ -267,9 +204,7 @@ def run_scenario_suite(
     :data:`~repro.pelican.resilience.DEFAULT_QUERY_DEADLINE`), so a
     resilient run and an unprotected baseline read on the same scale.
     """
-    res_policy: Optional[ResiliencePolicy] = None
-    if resilience is not None and resilience != "none":
-        res_policy = resilience_policy(resilience, seed=chaos_seed, deadline=deadline)
+    res_policy = named_resilience(resilience, chaos_seed, deadline)
     measure_deadline = deadline
     if measure_deadline is None and res_policy is not None:
         measure_deadline = res_policy.deadline
@@ -297,11 +232,6 @@ def run_scenario_suite(
                 num_shards=num_shards, placement=placement,
                 resilience=res_policy,
             )
-            chaos = (
-                fleet.merged_chaos()
-                if isinstance(fleet, Cluster)
-                else fleet.chaos.signature()
-            )
             stats = fleet.resilience_stats
             availability = measure_availability(
                 schedule,
@@ -318,7 +248,7 @@ def run_scenario_suite(
                 k=k,
                 hit_rate=hit_rate,
                 signature=fleet.report.signature(),
-                chaos=chaos,
+                chaos=fleet.merged_chaos(),
                 num_shards=num_shards,
                 resilience=res_policy.name if res_policy is not None else "none",
                 deadline=measure_deadline,

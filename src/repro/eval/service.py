@@ -14,7 +14,6 @@ serving axes (chaos policy, resilience, shards, stores).  The
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -22,13 +21,9 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.data.corpus import generate_corpus
 from repro.data.features import SpatialLevel
 from repro.eval.config import ExperimentScale
-from repro.eval.fleet import training_configs
-from repro.pelican.chaos import ChaosFleet, chaos_policy
-from repro.pelican.cluster import Cluster
-from repro.pelican.resilience import resilience_policy
+from repro.eval.fleet import build_cell_fleet, named_resilience, trained_pelican
+from repro.pelican.chaos import chaos_policy
 from repro.pelican.service import ServiceConfig, ServiceFrontDoor
-from repro.pelican.storage import make_blob_store
-from repro.pelican.system import Pelican, PelicanConfig
 from repro.traffic import FlashCrowd, RegimeTraffic, TrafficConfig, TrafficGenerator
 
 LEVEL = SpatialLevel.BUILDING
@@ -119,21 +114,10 @@ def build_service_workload(
 
     Returns ``(pelican, training_report, schedule, num_devices)`` —
     the trained orchestrator is *pristine* (no onboards; the schedule
-    carries them), so callers can deepcopy it under any serving stack.
+    carries them), so callers can build any serving stack over it.
     """
-    general, personalization = training_configs(scale, fast_setup)
     corpus = generate_corpus(scale.corpus)
-    pelican = Pelican(
-        corpus.spec(LEVEL),
-        PelicanConfig(
-            general=general,
-            personalization=personalization,
-            seed=scale.corpus.seed,
-        ),
-    )
-    train, _ = corpus.contributor_dataset(LEVEL).split_by_user(0.8)
-    training_report = pelican.initial_training(train)
-
+    pelican, training_report = trained_pelican(scale, corpus, fast_setup)
     splits = {
         uid: corpus.user_dataset(uid, LEVEL).split(0.8) for uid in corpus.personal_ids
     }
@@ -198,11 +182,10 @@ def run_service_load(
 ) -> ServiceLoadResult:
     """One generated workload through the front door, end to end.
 
-    The serving stack mirrors the scenario-matrix cell construction
-    (:func:`repro.eval.scenarios.build_cell_fleet`) extended with the
-    store axis; traffic compiles once and replays
-    deterministically, so the same arguments always produce the same
-    ``signature`` (only ``wall_seconds`` varies).
+    The serving stack comes from the one builder,
+    :func:`repro.eval.fleet.build_cell_fleet`; traffic compiles once and
+    replays deterministically, so the same arguments always produce the
+    same ``signature`` (only ``wall_seconds`` varies).
     """
     pelican, training_report, schedule, num_devices = build_service_workload(
         scale,
@@ -219,33 +202,17 @@ def run_service_load(
         traffic_seed=traffic_seed,
         fast_setup=fast_setup,
     )
-    res_policy = None
-    if resilience is not None and resilience != "none":
-        res_policy = resilience_policy(
-            resilience, seed=scale.corpus.seed, deadline=deadline
-        )
-    cp = chaos_policy(policy, seed=scale.corpus.seed)
-    if num_shards == 1:
-        fleet: Any = ChaosFleet(
-            copy.deepcopy(pelican),
-            cp,
-            registry_capacity=registry_capacity,
-            registry_store=make_blob_store(store),
-            resilience=res_policy,
-        )
-        fleet.report.cloud_compute += training_report
-    else:
-        fleet = Cluster.from_trained(
-            copy.deepcopy(pelican),
-            num_shards=num_shards,
-            placement=placement,
-            registry_capacity=registry_capacity,
-            policy=cp,
-            resilience=res_policy,
-            store=store,
-        )
-        fleet.report.training = fleet.report.training + training_report
-
+    res_policy = named_resilience(resilience, scale.corpus.seed, deadline)
+    fleet = build_cell_fleet(
+        pelican,
+        training_report,
+        num_shards=num_shards,
+        placement=placement,
+        registry_capacity=registry_capacity,
+        policy=chaos_policy(policy, seed=scale.corpus.seed),
+        resilience=res_policy,
+        store=store,
+    )
     front = ServiceFrontDoor(
         fleet,
         ServiceConfig(
@@ -261,14 +228,7 @@ def run_service_load(
         wall_seconds = time.perf_counter() - start
         signature = front.signature()
     finally:
-        closer = getattr(fleet, "close", None)
-        if closer is not None:
-            closer()
-        else:
-            fleet_store = getattr(fleet, "_registry_store", None)
-            store_closer = getattr(fleet_store, "close", None)
-            if store_closer is not None:
-                store_closer()
+        fleet.store.close()
 
     return ServiceLoadResult(
         scale=scale.name,

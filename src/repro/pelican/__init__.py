@@ -23,7 +23,6 @@ the signature only when the front door is active.
 from repro.pelican.accounting import ClusterReport, totals_signature
 from repro.pelican.chaos import (
     CHAOS_POLICIES,
-    ChaosFleet,
     ChaosPolicy,
     ChaosStats,
     FaultyChannel,
@@ -134,7 +133,6 @@ __all__ = [
     "RetryBudgetExhausted",
     "ShardBreaker",
     "Channel",
-    "ChaosFleet",
     "ChaosPolicy",
     "ChaosStats",
     "CloudTrainer",

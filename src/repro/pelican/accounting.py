@@ -16,7 +16,7 @@ legacy single-:class:`~repro.pelican.fleet.Fleet` report on the same run
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.pelican.cloud import ResourceReport
@@ -117,11 +117,9 @@ class ClusterReport:
     the cluster-level general-model training cost, which is paid once —
     not per shard — exactly like the single-fleet ``train_cloud``.
 
-    Cluster totals expose the same field names as :class:`FleetReport`
-    (``cloud_compute``, ``network_seconds``, ``registry``, ...) so
-    renderers and comparisons work on either; :meth:`signature` returns
-    the same total keys plus a ``shards`` tuple with every shard's own
-    signature.
+    Every :class:`FleetReport` attribute (``queries``, ``registry``,
+    ``mean_batch_size``, ...) reads through :meth:`totals`, so renderers
+    work on either; :meth:`signature` adds a ``shards`` tuple.
     """
 
     cloud_profile: DeviceProfile
@@ -136,142 +134,48 @@ class ClusterReport:
     def shard(self, shard_id: int) -> FleetReport:
         return self.shard_reports[shard_id]
 
-    # -- aggregate views (FleetReport-compatible names) -----------------
-    @property
-    def cloud_compute(self) -> ResourceReport:
-        total = self.training
-        for report in self.shard_reports:
-            total = total + report.cloud_compute
-        return total
-
-    @property
-    def device_compute(self) -> ResourceReport:
-        total = ResourceReport.zero()
-        for report in self.shard_reports:
-            total = total + report.device_compute
-        return total
-
-    @property
-    def registry(self) -> RegistryStats:
-        """Summed registry stats; eviction logs concatenate in shard order."""
-        total = RegistryStats()
-        for report in self.shard_reports:
-            total.hits += report.registry.hits
-            total.cold_loads += report.registry.cold_loads
-            total.evictions += report.registry.evictions
-            total.simulated_load_seconds += report.registry.simulated_load_seconds
-            total.eviction_log.extend(report.registry.eviction_log)
-        return total
-
-    @property
-    def cloud_simulated_seconds(self) -> float:
-        # From aggregate MACs (not summed shard seconds): bit-identical to
-        # the single-fleet conversion when there is one shard.
-        return (
-            self.cloud_profile.simulated_seconds(self.cloud_compute.macs)
-            + self.registry.simulated_load_seconds
+    def totals(self) -> FleetReport:
+        """The shard books summed field by field, in shard order, with
+        ``cloud_compute`` starting from ``training``."""
+        total = FleetReport(
+            self.cloud_profile, self.device_profile, cloud_compute=self.training
         )
-
-    @property
-    def device_simulated_seconds(self) -> float:
-        return sum(r.device_simulated_seconds for r in self.shard_reports)
-
-    @property
-    def network_seconds(self) -> float:
-        return sum(r.network_seconds for r in self.shard_reports)
-
-    @property
-    def network_bytes_up(self) -> int:
-        return sum(r.network_bytes_up for r in self.shard_reports)
-
-    @property
-    def network_bytes_down(self) -> int:
-        return sum(r.network_bytes_down for r in self.shard_reports)
-
-    @property
-    def onboards(self) -> int:
-        return sum(r.onboards for r in self.shard_reports)
-
-    @property
-    def updates(self) -> int:
-        return sum(r.updates for r in self.shard_reports)
-
-    @property
-    def queries(self) -> int:
-        return sum(r.queries for r in self.shard_reports)
-
-    @property
-    def batches(self) -> int:
-        return sum(r.batches for r in self.shard_reports)
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.queries / self.batches if self.batches else 0.0
-
-    # -- adversary attribution overlay (summed per shard, DESIGN.md §10) -
-    @property
-    def adversary_queries(self) -> int:
-        return sum(r.adversary_queries for r in self.shard_reports)
-
-    @property
-    def adversary_batches(self) -> int:
-        return sum(r.adversary_batches for r in self.shard_reports)
-
-    @property
-    def adversary_cloud_compute(self) -> ResourceReport:
-        total = ResourceReport.zero()
         for report in self.shard_reports:
-            total = total + report.adversary_cloud_compute
+            for name in _SUMMED_FIELDS:
+                setattr(total, name, _add(getattr(total, name), getattr(report, name)))
         return total
 
-    @property
-    def adversary_device_compute(self) -> ResourceReport:
-        total = ResourceReport.zero()
-        for report in self.shard_reports:
-            total = total + report.adversary_device_compute
-        return total
-
-    @property
-    def adversary_device_simulated_seconds(self) -> float:
-        return sum(r.adversary_device_simulated_seconds for r in self.shard_reports)
-
-    @property
-    def adversary_network_seconds(self) -> float:
-        return sum(r.adversary_network_seconds for r in self.shard_reports)
+    def __getattr__(self, name: str) -> Any:
+        if name in _SUMMED_FIELDS or isinstance(getattr(FleetReport, name, None), property):
+            return getattr(self.totals(), name)
+        raise AttributeError(name)
 
     def signature(self) -> Dict[str, Any]:
-        """Cluster totals (FleetReport keys) + per-shard breakdown.
-
-        Deterministic like the per-shard signatures it aggregates; drop
-        the ``"shards"`` key to compare totals field-by-field against a
-        legacy single-fleet signature.
-        """
-        registry = self.registry
+        """Cluster totals (FleetReport keys) + per-shard breakdown; drop
+        ``"shards"`` (:func:`totals_signature`) to compare with a fleet."""
         return {
-            "cloud_macs": self.cloud_compute.macs,
-            "device_macs": self.device_compute.macs,
-            "cloud_simulated_seconds": self.cloud_simulated_seconds,
-            "device_simulated_seconds": self.device_simulated_seconds,
-            "network_seconds": self.network_seconds,
-            "network_bytes_up": self.network_bytes_up,
-            "network_bytes_down": self.network_bytes_down,
-            "onboards": self.onboards,
-            "updates": self.updates,
-            "queries": self.queries,
-            "batches": self.batches,
-            "registry_hits": registry.hits,
-            "registry_cold_loads": registry.cold_loads,
-            "registry_evictions": registry.evictions,
-            "registry_load_seconds": registry.simulated_load_seconds,
-            "eviction_log": tuple(registry.eviction_log),
-            "adversary_queries": self.adversary_queries,
-            "adversary_batches": self.adversary_batches,
-            "adversary_cloud_macs": self.adversary_cloud_compute.macs,
-            "adversary_device_macs": self.adversary_device_compute.macs,
-            "adversary_device_simulated_seconds": self.adversary_device_simulated_seconds,
-            "adversary_network_seconds": self.adversary_network_seconds,
+            **self.totals().signature(),
             "shards": tuple(r.signature() for r in self.shard_reports),
         }
+
+
+#: Every :class:`FleetReport` field but the hardware profiles.
+_SUMMED_FIELDS = tuple(
+    f.name for f in fields(FleetReport) if not f.name.endswith("_profile")
+)
+
+
+def _add(total: Any, value: Any) -> Any:
+    """One field of a shard sum: registry stats add field by field
+    (eviction logs concatenate), everything else with ``+``."""
+    if isinstance(total, RegistryStats):
+        return RegistryStats(
+            **{
+                f.name: _add(getattr(total, f.name), getattr(value, f.name))
+                for f in fields(RegistryStats)
+            }
+        )
+    return total + value
 
 
 def overlay_signature(

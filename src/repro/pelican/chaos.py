@@ -32,20 +32,12 @@ makes accuracy comparable across chaos policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.pelican.accounting import overlay_signature
-from repro.pelican.device import CLOUD_SERVER, LOW_END_PHONE, DeviceProfile
-from repro.pelican.fleet import (
-    EventKind,
-    Fleet,
-    FleetEvent,
-    FleetSchedule,
-    QueryResponse,
-)
+from repro.pelican.clock import EventKind, FleetEvent, FleetSchedule
 from repro.pelican.registry import ModelRegistry
 from repro.pelican.storage import BlobStore
 from repro.pelican.resilience import (
@@ -55,7 +47,6 @@ from repro.pelican.resilience import (
     ResilienceStats,
     shed_late_queries,
 )
-from repro.pelican.system import Pelican
 from repro.pelican.transport import Channel
 
 # Stable stream ids for per-decision RNG derivation.  Never renumber:
@@ -96,8 +87,9 @@ class ChaosPolicy:
     #: Expected outage windows per cloud *shard* over the schedule horizon
     #: (cluster-level, DESIGN.md §9): queries homed on a downed shard
     #: re-route to a failover shard after a durable-store cold load, while
-    #: onboard/update events defer to the window's end.  Ignored by the
-    #: single-cloud :class:`ChaosFleet`, which has nowhere to fail over.
+    #: onboard/update events defer to the window's end.  Ignored by a
+    #: standalone :class:`~repro.pelican.fleet.Fleet`, which has nowhere
+    #: to fail over.
     shard_outage_rate: float = 0.0
     shard_outage_duration: float = 25.0
 
@@ -201,18 +193,7 @@ class ChaosStats:
 
     def signature(self) -> Dict[str, Any]:
         """Deterministic projection, merged into the fleet signature."""
-        return {
-            "transfer_retries": self.transfer_retries,
-            "retry_bytes": self.retry_bytes,
-            "retry_seconds": self.retry_seconds,
-            "cold_load_failures": self.cold_load_failures,
-            "cold_load_retry_seconds": self.cold_load_retry_seconds,
-            "offline_windows": self.offline_windows,
-            "deferred_events": self.deferred_events,
-            "straggler_updates": self.straggler_updates,
-            "shard_outage_windows": self.shard_outage_windows,
-            "failover_queries": self.failover_queries,
-        }
+        return asdict(self)
 
     def merged(self, *others: "ChaosStats") -> Dict[str, Any]:
         """Field-wise sum of this and ``others``' signatures.
@@ -225,6 +206,32 @@ class ChaosStats:
             for key, value in other.signature().items():
                 total[key] += value
         return total
+
+
+def draw_retries(
+    rng: np.random.Generator,
+    probability: float,
+    cap: int,
+    kind: str,
+    keys: Tuple[int, ...],
+    backoff_stream: int,
+    resilience: Optional[ResiliencePolicy],
+    stats: Optional[ResilienceStats],
+) -> int:
+    """Retries one faulty transfer or cold load needs: each attempt fails
+    with ``probability``, up to ``cap``.  A resilience retry budget caps
+    them further and charges seeded backoff (``backoff_stream`` under the
+    same ``keys``) into ``stats`` (DESIGN.md §11)."""
+    if resilience is None or resilience.is_null or resilience.retry_budget is None:
+        attempts = 0
+        while attempts < cap and rng.random() < probability:
+            attempts += 1
+        return attempts
+    attempts = resilience.capped_attempts(rng, probability, cap, kind, keys, stats)
+    if attempts:
+        jitter = resilience.rng(backoff_stream, *keys)
+        stats.backoff_seconds += resilience.backoff_cost(jitter, attempts)
+    return attempts
 
 
 @dataclass
@@ -274,46 +281,26 @@ class FaultyChannel(Channel):
         faulty._count = channel.transfer_count
         return faulty
 
-    @property
-    def _budgeted(self) -> bool:
-        return (
-            self.resilience is not None
-            and not self.resilience.is_null
-            and self.resilience.retry_budget is not None
-        )
-
     def _transfer(
         self, direction: str, num_bytes: int, label: str, count: int = 1
     ) -> float:
         probability = self.policy.drop_probability
         if probability <= 0.0:
             return super()._transfer(direction, num_bytes, label, count)
-        budgeted = self._budgeted
         bytes_each = num_bytes // count
         retries = 0
         for i in range(count):
-            rng = self.policy.rng(_STREAM_TRANSFER, self._draws + i)
-            if budgeted:
-                attempt = self.resilience.capped_attempts(
-                    rng,
-                    probability,
-                    self.policy.max_retries,
-                    "transfer",
-                    (self._draws + i,),
-                    self.resilience_stats,
-                )
-                if attempt:
-                    jitter = self.resilience.rng(
-                        _STREAM_TRANSFER_BACKOFF, self._draws + i
-                    )
-                    self.resilience_stats.backoff_seconds += (
-                        self.resilience.backoff_cost(jitter, attempt)
-                    )
-            else:
-                attempt = 0
-                while attempt < self.policy.max_retries and rng.random() < probability:
-                    attempt += 1
-            retries += attempt
+            key = self._draws + i
+            retries += draw_retries(
+                self.policy.rng(_STREAM_TRANSFER, key),
+                probability,
+                self.policy.max_retries,
+                "transfer",
+                (key,),
+                _STREAM_TRANSFER_BACKOFF,
+                self.resilience,
+                self.resilience_stats,
+            )
         self._draws += count
         if not retries:
             return super()._transfer(direction, num_bytes, label, count)
@@ -398,137 +385,21 @@ class FlakyModelRegistry(ModelRegistry):
         probability = self.policy.cold_load_failure_probability
         if probability <= 0.0:
             return base
-        rng = self.policy.rng(_STREAM_COLD_LOAD, user_id, self._fetches)
-        chaos_cap = self.policy.max_cold_load_attempts - 1
-        res = self.resilience
-        if res is not None and not res.is_null and res.retry_budget is not None:
-            failures = res.capped_attempts(
-                rng,
-                probability,
-                chaos_cap,
-                "cold_load",
-                (user_id, self._fetches),
-                self.resilience_stats,
-            )
-            if failures:
-                jitter = res.rng(_STREAM_COLD_LOAD_BACKOFF, user_id, self._fetches)
-                self.resilience_stats.backoff_seconds += res.backoff_cost(
-                    jitter, failures
-                )
-        else:
-            failures = 0
-            while failures < chaos_cap and rng.random() < probability:
-                failures += 1
+        key = (user_id, self._fetches)
+        failures = draw_retries(
+            self.policy.rng(_STREAM_COLD_LOAD, *key),
+            probability,
+            self.policy.max_cold_load_attempts - 1,
+            "cold_load",
+            key,
+            _STREAM_COLD_LOAD_BACKOFF,
+            self.resilience,
+            self.resilience_stats,
+        )
         if failures:
             self.chaos.cold_load_failures += failures
             self.chaos.cold_load_retry_seconds += failures * base
         return (1 + failures) * base
-
-
-class ChaosFleet(Fleet):
-    """A :class:`Fleet` running under a fault-injection policy.
-
-    Swaps the shared channel for a :class:`FaultyChannel` (re-pointing any
-    already-deployed endpoints), substitutes a :class:`FlakyModelRegistry`,
-    and perturbs every schedule through :meth:`perturb` before replaying it
-    on the base event clock.  Under the null policy all three are exact
-    identities, so ``ChaosFleet(pelican, ChaosPolicy())`` behaves
-    byte-for-byte like ``Fleet(pelican)``.
-
-    Like the base :class:`Fleet`, construction **takes ownership** of
-    ``pelican`` — and more invasively: its channel (and every deployed
-    endpoint's channel reference) is permanently rewired to the faulty
-    one.  To compare policies over one expensively-trained Pelican, hand
-    each fleet its own ``copy.deepcopy`` (what
-    :func:`repro.eval.scenarios.run_scenario_suite` and the fuzz harness
-    do) instead of re-wrapping the same instance.
-    """
-
-    def __init__(
-        self,
-        pelican: Pelican,
-        policy: ChaosPolicy,
-        registry_capacity: Optional[int] = 64,
-        cloud_profile: DeviceProfile = CLOUD_SERVER,
-        device_profile: DeviceProfile = LOW_END_PHONE,
-        registry_store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        resilience_stats: Optional[ResilienceStats] = None,
-    ) -> None:
-        self.policy = policy
-        self.chaos = ChaosStats()
-        # Set before super().__init__ — both the channel wrap and the
-        # registry factory below consume them.
-        self.resilience = resilience
-        self.resilience_stats = (
-            resilience_stats if resilience_stats is not None else ResilienceStats()
-        )
-        faulty = FaultyChannel.wrap(
-            pelican.channel,
-            policy,
-            self.chaos,
-            resilience=resilience,
-            resilience_stats=self.resilience_stats,
-        )
-        pelican.channel = faulty
-        for user in pelican.users.values():
-            if user.endpoint.channel is not None:
-                user.endpoint.channel = faulty
-        super().__init__(
-            pelican,
-            registry_capacity=registry_capacity,
-            cloud_profile=cloud_profile,
-            device_profile=device_profile,
-            registry_store=registry_store,
-            resilience=resilience,
-            resilience_stats=self.resilience_stats,
-        )
-
-    def _make_registry(self, capacity: Optional[int], seed: int) -> ModelRegistry:
-        return FlakyModelRegistry(
-            capacity=capacity,
-            seed=seed,
-            policy=self.policy,
-            chaos=self.chaos,
-            store=self._registry_store,
-            resilience=self.resilience,
-            resilience_stats=self.resilience_stats,
-        )
-
-    # ------------------------------------------------------------------
-    def signature(self) -> Dict[str, Any]:
-        """Fleet signature plus the chaos counters (all deterministic).
-
-        A non-null resilience policy additionally joins its
-        ``resilience_*`` overlay; under the null policy the key set is
-        exactly the legacy one, which the golden tests pin.
-        """
-        signature = overlay_signature(
-            self.report.signature(), "chaos_", self.chaos.signature()
-        )
-        if self.resilience is not None and not self.resilience.is_null:
-            signature = overlay_signature(
-                signature, "resilience_", self.resilience_stats.signature()
-            )
-        return signature
-
-    def run(self, schedule: FleetSchedule) -> List[QueryResponse]:
-        perturbed = self.perturb(schedule)
-        if self.resilience is not None and not self.resilience.is_null:
-            perturbed = shed_late_queries(
-                schedule, perturbed, self.resilience, self.resilience_stats
-            )
-        return super().run(perturbed)
-
-    def perturb(self, schedule: FleetSchedule) -> FleetSchedule:
-        """Apply offline windows and straggler delays to a schedule.
-
-        Delegates to the shard-agnostic :func:`perturb_schedule`; the
-        cluster layer perturbs through the same function (plus its
-        shard-outage deferrals), so per-user fault draws are identical
-        for the same policy, seed, and schedule on either topology.
-        """
-        return perturb_schedule(schedule, self.policy, self.chaos)
 
 
 def perturb_schedule(
@@ -597,6 +468,22 @@ def perturb_schedule(
                 options=event.options,
             )
         )
+    return perturbed
+
+
+def faulty_schedule(
+    schedule: FleetSchedule,
+    policy: ChaosPolicy,
+    chaos: ChaosStats,
+    resilience: Optional[ResiliencePolicy],
+    resilience_stats: ResilienceStats,
+) -> FleetSchedule:
+    """The schedule a one-cloud fleet replays under ``policy``: perturbed,
+    then (with active resilience) cleared of queries pushed past their
+    deadline."""
+    perturbed = perturb_schedule(schedule, policy, chaos)
+    if resilience is not None and not resilience.is_null:
+        perturbed = shed_late_queries(schedule, perturbed, resilience, resilience_stats)
     return perturbed
 
 

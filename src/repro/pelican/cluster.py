@@ -48,7 +48,6 @@ from repro.data.features import FeatureSpec
 from repro.models.personalize import PersonalizationMethod
 from repro.pelican.accounting import ClusterReport, overlay_signature
 from repro.pelican.chaos import (
-    ChaosFleet,
     ChaosPolicy,
     ChaosStats,
     perturb_schedule,
@@ -207,32 +206,19 @@ class Cluster:
         self.store: Union[BlobStore, Dict[int, bytes]] = (
             make_blob_store(store or "memory") if self._owns_store else store
         )
-        self.shards: List[Fleet] = []
-        for shard_id in range(num_shards):
-            pelican = Pelican(spec, config)
-            shard_res = shard_resilience(resilience, shard_id) if active else None
-            if policy is None:
-                shard: Fleet = Fleet(
-                    pelican,
-                    registry_capacity=registry_capacity,
-                    cloud_profile=cloud_profile,
-                    device_profile=device_profile,
-                    registry_store=self.store,
-                    resilience=shard_res,
-                    resilience_stats=self.resilience_stats,
-                )
-            else:
-                shard = ChaosFleet(
-                    pelican,
-                    shard_policy(policy, shard_id),
-                    registry_capacity=registry_capacity,
-                    cloud_profile=cloud_profile,
-                    device_profile=device_profile,
-                    registry_store=self.store,
-                    resilience=shard_res,
-                    resilience_stats=self.resilience_stats,
-                )
-            self.shards.append(shard)
+        self.shards: List[Fleet] = [
+            Fleet(
+                Pelican(spec, config),
+                registry_capacity=registry_capacity,
+                cloud_profile=cloud_profile,
+                device_profile=device_profile,
+                registry_store=self.store,
+                resilience=shard_resilience(resilience, shard_id) if active else None,
+                resilience_stats=self.resilience_stats,
+                policy=None if policy is None else shard_policy(policy, shard_id),
+            )
+            for shard_id in range(num_shards)
+        ]
         self.report = ClusterReport(
             cloud_profile=cloud_profile,
             device_profile=device_profile,
@@ -316,9 +302,7 @@ class Cluster:
 
     def merged_chaos(self) -> Dict[str, Any]:
         """Cluster-level chaos counters plus every shard's, summed."""
-        return self.chaos.merged(
-            *[shard.chaos for shard in self.shards if isinstance(shard, ChaosFleet)]
-        )
+        return self.chaos.merged(*[shard.chaos for shard in self.shards])
 
     def signature(self) -> Dict[str, Any]:
         """Aggregated report signature plus the merged chaos counters.

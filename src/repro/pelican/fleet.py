@@ -6,11 +6,12 @@ time; this module is the production-shaped layer above it that simulates
 thousands of devices against one cloud:
 
 * **Batched multi-user serving** — concurrent query requests are grouped
-  per personal model and each group is dispatched through the graph-free
-  fused inference path in *one* GEMM stack
-  (:mod:`repro.pelican.dispatch`).  Predictions are identical to the
-  per-query loop (rankings exactly, confidences to float round-off);
-  only the cost changes.
+  per personal model and every group of a flush is computed by one tick
+  kernel call (:func:`~repro.pelican.dispatch.dispatch_tick`) at that
+  model's own GEMM shapes, so each group's answers are bit-identical to
+  dispatching it alone.  Against the per-query loop, rankings are
+  identical and confidences agree to BLAS round-off; only the cost
+  changes.
 * **Cloud model registry** — cloud-deployed personal models live in a
   capacity-bounded :class:`~repro.pelican.registry.ModelRegistry` with
   LRU eviction and serialization-backed cold loads, modeling a cloud that
@@ -23,6 +24,8 @@ thousands of devices against one cloud:
 * **Per-side accounting** — every event's MACs are attributed to the side
   that executed it and converted to simulated seconds in a
   :class:`~repro.pelican.accounting.FleetReport`.
+
+* **Fault injection** — an optional chaos policy (DESIGN.md §8).
 
 The event clock, the dispatcher, and the accounting are shard-agnostic
 components (``clock.py``, ``dispatch.py``, ``accounting.py``); a
@@ -37,7 +40,15 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import SequenceDataset
-from repro.pelican.accounting import FleetReport
+from repro.data.features import FeatureSpec
+from repro.pelican.accounting import FleetReport, overlay_signature
+from repro.pelican.chaos import (
+    ChaosPolicy,
+    ChaosStats,
+    FaultyChannel,
+    FlakyModelRegistry,
+    faulty_schedule,
+)
 from repro.pelican.clock import (
     EventKind,
     FleetEvent,
@@ -63,7 +74,7 @@ from repro.pelican.resilience import ResiliencePolicy, ResilienceStats
 
 # Kept resolvable for perfbench/tracing.py's span sites (see stacking.py).
 from repro.pelican.stacking import stacked_path_removed as dispatch_stacked_tick  # noqa: F401
-from repro.pelican.storage import BlobStore
+from repro.pelican.storage import BlobStore, MemoryBlobStore
 from repro.pelican.system import OnboardedUser, Pelican
 from repro.pelican.transport import Channel
 from repro.models.personalize import PersonalizationMethod
@@ -124,11 +135,18 @@ class Fleet:
         never moves responses or signatures.
     resilience / resilience_stats:
         Optional fault-handling policy and its stats book (DESIGN.md
-        §11).  A bare fleet has no faults to handle, so these only bite
-        through the chaos subclass — but they live here so every serving
-        layer exposes the same ``resilience_stats`` surface, and so a
-        cluster can share one stats book across its shards.  ``None``
-        policy (or the null policy) leaves behaviour byte-identical.
+        §11); a cluster shares one stats book across its shards.  ``None``
+        (or the null policy) leaves behaviour byte-identical.
+    policy:
+        Optional :class:`~repro.pelican.chaos.ChaosPolicy` (DESIGN.md §8):
+        the shared channel (and every deployed endpoint) is rewired to a
+        :class:`~repro.pelican.chaos.FaultyChannel`, cold loads go
+        through a :class:`~repro.pelican.chaos.FlakyModelRegistry`, and
+        :meth:`run` perturbs its schedule.  The null policy is an exact
+        identity apart from the ``chaos_*`` signature overlay.
+
+    Construction **takes ownership** of ``pelican``: hand each fleet its
+    own ``copy.deepcopy`` of a shared one.
     """
 
     def __init__(
@@ -140,14 +158,43 @@ class Fleet:
         registry_store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
+        policy: Optional[ChaosPolicy] = None,
     ) -> None:
         self.pelican = pelican
-        self._registry_store = registry_store
+        self.policy = policy
+        self.chaos = ChaosStats()
         self.resilience = resilience
         self.resilience_stats = (
             resilience_stats if resilience_stats is not None else ResilienceStats()
         )
-        self.registry = self._make_registry(registry_capacity, pelican.config.seed)
+        #: The durable checkpoint store behind the registry.
+        self.store = MemoryBlobStore() if registry_store is None else registry_store
+        seed = pelican.config.seed
+        if policy is None:
+            self.registry = ModelRegistry(
+                capacity=registry_capacity, seed=seed, store=self.store
+            )
+        else:
+            faulty = FaultyChannel.wrap(
+                pelican.channel,
+                policy,
+                self.chaos,
+                resilience=resilience,
+                resilience_stats=self.resilience_stats,
+            )
+            pelican.channel = faulty
+            for user in pelican.users.values():
+                if user.endpoint.channel is not None:
+                    user.endpoint.channel = faulty
+            self.registry = FlakyModelRegistry(
+                capacity=registry_capacity,
+                seed=seed,
+                policy=policy,
+                chaos=self.chaos,
+                store=self.store,
+                resilience=resilience,
+                resilience_stats=self.resilience_stats,
+            )
         self.cloud_profile = cloud_profile
         self.device_profile = device_profile
         self._profiles: Dict[int, DeviceProfile] = {}
@@ -162,13 +209,35 @@ class Fleet:
             if user.endpoint.mode == DeploymentMode.CLOUD:
                 self.registry.register(user_id, user.endpoint.predictor.model)
 
-    def _make_registry(self, capacity: Optional[int], seed: int) -> ModelRegistry:
-        """Registry factory hook; the chaos layer substitutes a flaky one."""
-        return ModelRegistry(capacity=capacity, seed=seed, store=self._registry_store)
-
     @property
     def num_users(self) -> int:
         return len(self.pelican.users)
+
+    @property
+    def users(self) -> Dict[int, OnboardedUser]:
+        return self.pelican.users
+
+    @property
+    def spec(self) -> FeatureSpec:
+        return self.pelican.spec
+
+    def merged_chaos(self) -> Dict[str, Any]:
+        """The chaos counters, as :meth:`Cluster.merged_chaos
+        <repro.pelican.cluster.Cluster.merged_chaos>` reports them."""
+        return self.chaos.signature()
+
+    def signature(self) -> Dict[str, Any]:
+        """Report signature plus the ``chaos_*`` overlay (only under a
+        policy) and the ``resilience_*`` one (only when resilience is
+        active): a bare fleet's key set is the report's."""
+        signature = self.report.signature()
+        if self.policy is not None:
+            signature = overlay_signature(signature, "chaos_", self.chaos.signature())
+        if self.resilience is not None and not self.resilience.is_null:
+            signature = overlay_signature(
+                signature, "resilience_", self.resilience_stats.signature()
+            )
+        return signature
 
     # ------------------------------------------------------------------
     # Lifecycle events
@@ -232,7 +301,7 @@ class Fleet:
         order (:func:`~repro.pelican.dispatch.group_requests`); each group
         runs as one fused inference dispatch.  Answers come back in
         request order and match :meth:`serve_looped` on the same requests
-        (identical rankings; confidences to within float round-off — see
+        (identical rankings; confidences to within BLAS round-off — see
         DESIGN.md §7).
 
         Audit probe batches (:class:`~repro.pelican.dispatch.ProbePayload`,
@@ -477,8 +546,17 @@ class Fleet:
         consecutive same-tick QUERY events serve as one :meth:`serve`
         batch, and any other event flushes the pending batch first.
         Responses come back in event order, tagged with their event's
-        ``(time, seq)``.
+        ``(time, seq)``.  A chaos policy first perturbs the schedule
+        (:func:`~repro.pelican.chaos.faulty_schedule`).
         """
+        if self.policy is not None:
+            schedule = faulty_schedule(
+                schedule,
+                self.policy,
+                self.chaos,
+                self.resilience,
+                self.resilience_stats,
+            )
         return replay_schedule(
             schedule,
             serve=lambda _time, requests: self.serve(requests),

@@ -47,7 +47,9 @@ from repro.pelican.clock import (
     FleetSchedule,
     QueryResponse,
 )
+from repro.pelican.cluster import Cluster
 from repro.pelican.dispatch import ProbePayload
+from repro.pelican.fleet import Fleet
 from repro.pelican.resilience import DEFAULT_QUERY_DEADLINE, shed_late_queries
 
 __all__ = [
@@ -237,16 +239,16 @@ class ServiceFrontDoor:
     """Admission control + latency accounting over a fleet or cluster.
 
     One front door serves one workload run (books accumulate across
-    :meth:`run` calls on the same fleet).  ``fleet`` is anything with
-    the shared serving interface — :class:`~repro.pelican.fleet.Fleet`,
-    its chaos subclass, or :class:`~repro.pelican.cluster.Cluster`; the
+    :meth:`run` calls on the same fleet).  ``fleet`` is a
+    :class:`~repro.pelican.fleet.Fleet` or a
+    :class:`~repro.pelican.cluster.Cluster` (one serving surface); the
     front door never reaches around it, so every lower-layer guarantee
     (bit-identical responses across shards and stores, null-chaos
     identity, signature determinism) carries over verbatim.
     """
 
     def __init__(
-        self, fleet: Any, config: Optional[ServiceConfig] = None
+        self, fleet: Union[Fleet, Cluster], config: Optional[ServiceConfig] = None
     ) -> None:
         self.fleet = fleet
         self.config = config or ServiceConfig()
@@ -260,7 +262,7 @@ class ServiceFrontDoor:
     def _resolve_deadline(self) -> float:
         if self.config.deadline is not None:
             return float(self.config.deadline)
-        policy = getattr(self.fleet, "resilience", None)
+        policy = self.fleet.resilience
         if policy is not None and not policy.is_null and policy.deadline is not None:
             return float(policy.deadline)
         return DEFAULT_QUERY_DEADLINE
@@ -361,7 +363,7 @@ class ServiceFrontDoor:
         the fleet's own ``run``, exactly as without a front door.
         """
         admitted = self.admit(schedule)
-        policy = getattr(self.fleet, "resilience", None)
+        policy = self.fleet.resilience
         if policy is not None and not policy.is_null:
             admitted = shed_late_queries(
                 schedule, admitted, policy, self.fleet.resilience_stats
@@ -445,16 +447,6 @@ class ServiceFrontDoor:
         never met a front door keeps its legacy key set, which is what
         lets the committed goldens pass unchanged.
         """
-        if hasattr(self.fleet, "signature"):
-            base = self.fleet.signature()
-        else:
-            base = self.fleet.report.signature()
-            policy = getattr(self.fleet, "resilience", None)
-            # A bare Fleet has no signature() of its own; mirror the
-            # chaos subclass and join the resilience overlay when the
-            # policy is active (front-door sheds land in its book).
-            if policy is not None and not policy.is_null:
-                base = overlay_signature(
-                    base, "resilience_", self.fleet.resilience_stats.signature()
-                )
-        return overlay_signature(base, "service_", self.endpoint_stats())
+        return overlay_signature(
+            self.fleet.signature(), "service_", self.endpoint_stats()
+        )

@@ -38,7 +38,6 @@ from repro.attacks.fleet_adversary import audit_requests, rankings
 from repro.data import SpatialLevel
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
-    ChaosFleet,
     ChaosPolicy,
     Cluster,
     DeploymentMode,
@@ -268,8 +267,8 @@ class TestEventClock:
         adversary = make_adversary()
 
         def leak(policy):
-            fleet = ChaosFleet(
-                copy.deepcopy(pristine), policy, registry_capacity=1
+            fleet = Fleet(
+                copy.deepcopy(pristine), registry_capacity=1, policy=policy
             )
             for i, uid in enumerate(splits):
                 mode = DeploymentMode.CLOUD if i % 2 == 0 else DeploymentMode.LOCAL

@@ -21,7 +21,6 @@ from repro.nn.serialization import logical_nbytes
 from repro.pelican import (
     CHAOS_POLICIES,
     Channel,
-    ChaosFleet,
     ChaosPolicy,
     ChaosStats,
     DeploymentMode,
@@ -32,7 +31,10 @@ from repro.pelican import (
     Pelican,
     PelicanConfig,
     QueryRequest,
+    ResilienceStats,
     chaos_policy,
+    perturb_schedule,
+    resilience_policy,
 )
 
 LEVEL = SpatialLevel.BUILDING
@@ -262,21 +264,45 @@ class TestChaosFleet:
         """chaos-on with zero-probability faults == chaos-off, bit for bit."""
         pelican, splits = trained_pelican
         plain = Fleet(copy.deepcopy(pelican), registry_capacity=1)
-        chaotic = ChaosFleet(copy.deepcopy(pelican), ChaosPolicy(), registry_capacity=1)
+        chaotic = Fleet(copy.deepcopy(pelican), registry_capacity=1, policy=ChaosPolicy())
         schedule = _schedule(tiny_corpus, splits)
         assert plain.run(schedule) == chaotic.run(schedule)
         assert plain.report.signature() == chaotic.report.signature()
         assert chaotic.chaos.signature() == ChaosStats().signature()
+
+    def test_signature_key_set_per_overlay(self, trained_pelican):
+        """``Fleet.signature()`` joins ``chaos_*`` only under a policy
+        (even the null one) and ``resilience_*`` only when resilience is
+        active — the key sets the goldens pin."""
+        pelican, _ = trained_pelican
+        base = set(Fleet(copy.deepcopy(pelican)).report.signature())
+        chaos_keys = {f"chaos_{key}" for key in ChaosStats().signature()}
+        resilience_keys = {
+            f"resilience_{key}" for key in ResilienceStats().signature()
+        }
+
+        bare = Fleet(copy.deepcopy(pelican))
+        assert set(bare.signature()) == base
+
+        null = Fleet(copy.deepcopy(pelican), policy=ChaosPolicy())
+        assert set(null.signature()) == base | chaos_keys
+
+        resilient = Fleet(
+            copy.deepcopy(pelican),
+            policy=chaos_policy("hostile", seed=1),
+            resilience=resilience_policy("default", seed=1),
+        )
+        assert set(resilient.signature()) == base | chaos_keys | resilience_keys
 
     def test_faulty_run_deterministic(self, trained_pelican, tiny_corpus):
         pelican, splits = trained_pelican
         schedule = _schedule(tiny_corpus, splits)
 
         def run():
-            fleet = ChaosFleet(
+            fleet = Fleet(
                 copy.deepcopy(pelican),
-                chaos_policy("hostile", seed=2),
                 registry_capacity=1,
+                policy=chaos_policy("hostile", seed=2),
             )
             return fleet, fleet.run(schedule)
 
@@ -290,10 +316,10 @@ class TestChaosFleet:
         schedule = _schedule(tiny_corpus, splits)
         clean = Fleet(copy.deepcopy(pelican), registry_capacity=1)
         clean_responses = {r.seq: r for r in clean.run(schedule)}
-        lossy = ChaosFleet(
+        lossy = Fleet(
             copy.deepcopy(pelican),
-            chaos_policy("lossy_network", seed=1),
             registry_capacity=1,
+            policy=chaos_policy("lossy_network", seed=1),
         )
         lossy_responses = {r.seq: r for r in lossy.run(schedule)}
         assert lossy.chaos.transfer_retries > 0
@@ -318,9 +344,9 @@ class TestChaosFleet:
         )
         # Pick a seed that actually produces offline windows for these users.
         for seed in range(10):
-            fleet = ChaosFleet(
-                copy.deepcopy(pelican), chaos_policy("churn", seed=seed),
-                registry_capacity=1,
+            fleet = Fleet(
+                copy.deepcopy(pelican), registry_capacity=1,
+                policy=chaos_policy("churn", seed=seed),
             )
             responses = fleet.run(schedule)
             assert len(responses) == num_queries  # nothing dropped
@@ -334,12 +360,12 @@ class TestChaosFleet:
         pelican, splits = trained_pelican
         schedule = _schedule(tiny_corpus, splits)
         for seed in range(10):
-            fleet = ChaosFleet(
+            fleet = Fleet(
                 copy.deepcopy(pelican),
-                chaos_policy("hostile", seed=seed),
                 registry_capacity=1,
+                policy=chaos_policy("hostile", seed=seed),
             )
-            perturbed = fleet.perturb(schedule)
+            perturbed = perturb_schedule(schedule, fleet.policy, fleet.chaos)
             original_order = {}
             for position, event in enumerate(schedule.ordered()):
                 original_order.setdefault(event.user_id, []).append(event.seq)
@@ -351,10 +377,10 @@ class TestChaosFleet:
     def test_serve_looped_neutral_under_chaos(self, trained_pelican, tiny_corpus):
         """The parity reference must not perturb the chaos books either."""
         pelican, splits = trained_pelican
-        fleet = ChaosFleet(
+        fleet = Fleet(
             copy.deepcopy(pelican),
-            chaos_policy("lossy_network", seed=1),
             registry_capacity=1,
+            policy=chaos_policy("lossy_network", seed=1),
         )
         for i, uid in enumerate(tiny_corpus.personal_ids):
             fleet.onboard(uid, splits[uid][0], deployment=DeploymentMode.CLOUD)

@@ -21,6 +21,7 @@ broadcast eviction.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,11 +33,14 @@ from repro.pelican import (
     Cluster,
     DeploymentMode,
     Fleet,
+    FleetReport,
     FleetSchedule,
     HashPlacement,
     Pelican,
     PelicanConfig,
     QueryRequest,
+    RegistryStats,
+    ResourceReport,
     chaos_policy,
     split_schedule,
     totals_signature,
@@ -134,6 +138,108 @@ class TestSingleShardParity:
         # The shard's own book excludes training; the cluster book holds it.
         assert cluster.report.shard(0).cloud_compute.macs == 0
         assert cluster.report.training.macs > 0
+
+
+def _fill_book(report, shard):
+    """Give every summed field of ``report`` a distinct non-zero value.
+
+    Raises on a field type it does not know, so a new ``FleetReport``
+    field cannot slip past :class:`TestClusterReportTotals` unfilled.
+    """
+    for i, f in enumerate(dataclasses.fields(FleetReport)):
+        if f.name.endswith("_profile"):
+            continue
+        current = getattr(report, f.name)
+        if isinstance(current, ResourceReport):
+            value = ResourceReport(
+                macs=1000 * shard + i,
+                estimated_billion_cycles=0.3 * shard + 0.07 * i,
+                wall_seconds=0.11 * shard,
+            )
+        elif isinstance(current, RegistryStats):
+            value = RegistryStats(
+                hits=10 * shard + 1,
+                cold_loads=10 * shard + 2,
+                evictions=10 * shard + 3,
+                simulated_load_seconds=0.1 * shard + 1 / 7,
+                eviction_log=[shard, shard + 10],
+            )
+        elif isinstance(current, bool) or not isinstance(current, (int, float)):
+            raise TypeError(f"no test value for FleetReport.{f.name}")
+        elif isinstance(current, int):
+            value = 100 * shard + i
+        else:
+            value = 0.1 * shard + 0.01 * i + 1 / 3
+        setattr(report, f.name, value)
+
+
+class TestClusterReportTotals:
+    """``ClusterReport`` is a field-by-field, shard-order sum."""
+
+    def test_signature_is_shard_order_sum_of_every_field(self, trained):
+        _, pelican, _ = trained
+        cluster = Cluster(pelican.spec, pelican.config, num_shards=2)
+        a, b = cluster.report.shard_reports
+        _fill_book(a, 1)
+        _fill_book(b, 2)
+        training = ResourceReport(
+            macs=77, estimated_billion_cycles=0.9, wall_seconds=0.2
+        )
+        cluster.report.training = training
+
+        cloud = training + a.cloud_compute + b.cloud_compute
+        load_seconds = (
+            0.0 + a.registry.simulated_load_seconds + b.registry.simulated_load_seconds
+        )
+
+        def summed(name):
+            return getattr(a, name) + getattr(b, name)
+
+        expected = {
+            "cloud_macs": cloud.macs,
+            "device_macs": a.device_compute.macs + b.device_compute.macs,
+            "cloud_simulated_seconds": (
+                a.cloud_profile.simulated_seconds(cloud.macs) + load_seconds
+            ),
+            "device_simulated_seconds": summed("device_simulated_seconds"),
+            "network_seconds": summed("network_seconds"),
+            "network_bytes_up": summed("network_bytes_up"),
+            "network_bytes_down": summed("network_bytes_down"),
+            "onboards": summed("onboards"),
+            "updates": summed("updates"),
+            "queries": summed("queries"),
+            "batches": summed("batches"),
+            "registry_hits": a.registry.hits + b.registry.hits,
+            "registry_cold_loads": a.registry.cold_loads + b.registry.cold_loads,
+            "registry_evictions": a.registry.evictions + b.registry.evictions,
+            "registry_load_seconds": load_seconds,
+            "eviction_log": tuple(a.registry.eviction_log + b.registry.eviction_log),
+            "adversary_queries": summed("adversary_queries"),
+            "adversary_batches": summed("adversary_batches"),
+            "adversary_cloud_macs": (
+                a.adversary_cloud_compute.macs + b.adversary_cloud_compute.macs
+            ),
+            "adversary_device_macs": (
+                a.adversary_device_compute.macs + b.adversary_device_compute.macs
+            ),
+            "adversary_device_simulated_seconds": summed(
+                "adversary_device_simulated_seconds"
+            ),
+            "adversary_network_seconds": summed("adversary_network_seconds"),
+        }
+        assert set(expected) == set(a.signature())
+        signature = cluster.report.signature()
+        assert totals_signature(signature) == expected
+        assert signature["shards"] == (a.signature(), b.signature())
+        assert cluster.report.queries == expected["queries"]
+        assert cluster.report.mean_batch_size == expected["queries"] / expected["batches"]
+
+        # Every summed field reaches the totals (nothing left at its default).
+        totals = cluster.report.totals()
+        blank = FleetReport(a.cloud_profile, a.device_profile)
+        for f in dataclasses.fields(FleetReport):
+            if not f.name.endswith("_profile"):
+                assert getattr(totals, f.name) != getattr(blank, f.name), f.name
 
 
 class TestMultiShardParity:

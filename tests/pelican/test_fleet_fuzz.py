@@ -59,7 +59,6 @@ from repro.attacks import (
 from repro.data import SpatialLevel
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
-    ChaosFleet,
     ChaosPolicy,
     Cluster,
     DeploymentMode,
@@ -332,8 +331,8 @@ def test_null_chaos_identical_to_chaos_off(base, tiny_corpus, seed):
     pristine, _, splits = base
     schedule = generate_schedule(tiny_corpus, splits, seed, include_onboards=True)
     plain = Fleet(copy.deepcopy(pristine), registry_capacity=1)
-    chaotic = ChaosFleet(
-        copy.deepcopy(pristine), ChaosPolicy(), registry_capacity=1
+    chaotic = Fleet(
+        copy.deepcopy(pristine), registry_capacity=1, policy=ChaosPolicy()
     )
     assert plain.run(schedule) == chaotic.run(schedule)
     assert plain.report.signature() == chaotic.report.signature()
@@ -347,12 +346,12 @@ def test_null_resilience_identical_to_resilience_off(base, tiny_corpus, seed):
     pristine, _, splits = base
     schedule = generate_schedule(tiny_corpus, splits, seed, include_onboards=True)
     policy = chaos_policy("hostile", seed=seed)
-    bare = ChaosFleet(copy.deepcopy(pristine), policy, registry_capacity=1)
-    nulled = ChaosFleet(
+    bare = Fleet(copy.deepcopy(pristine), registry_capacity=1, policy=policy)
+    nulled = Fleet(
         copy.deepcopy(pristine),
-        policy,
         registry_capacity=1,
         resilience=ResiliencePolicy(),
+        policy=policy,
     )
     assert bare.run(schedule) == nulled.run(schedule)
     assert bare.signature() == nulled.signature()
@@ -370,11 +369,11 @@ def test_resilience_conservation_and_determinism(base, tiny_corpus, seed):
     )
 
     def run():
-        fleet = ChaosFleet(
+        fleet = Fleet(
             copy.deepcopy(pristine),
-            chaos_policy("hostile", seed=seed),
             registry_capacity=1,
             resilience=resilience_policy("default", seed=seed),
+            policy=chaos_policy("hostile", seed=seed),
         )
         return fleet.run(schedule), fleet
 
@@ -685,11 +684,11 @@ def test_generator_chaos_resilience_conservation(base, seed):
     num_queries = sum(1 for e in schedule.ordered() if e.kind is EventKind.QUERY)
 
     def run():
-        fleet = ChaosFleet(
+        fleet = Fleet(
             copy.deepcopy(pristine),
-            chaos_policy("hostile", seed=seed),
             registry_capacity=1,
             resilience=resilience_policy("default", seed=seed),
+            policy=chaos_policy("hostile", seed=seed),
         )
         front = ServiceFrontDoor(fleet, service)
         return front.run(schedule), front

@@ -28,9 +28,9 @@ from repro.data import SpatialLevel
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
     CHAOS_POLICIES,
-    ChaosFleet,
     Cluster,
     DeploymentMode,
+    Fleet,
     FleetSchedule,
     Pelican,
     PelicanConfig,
@@ -278,12 +278,12 @@ class TestNullIdentity:
         pelican, splits = trained
         schedule = _schedule(tiny_corpus, splits)
         policy = chaos_policy("hostile", seed=5)
-        bare = ChaosFleet(copy.deepcopy(pelican), policy, registry_capacity=1)
-        nulled = ChaosFleet(
+        bare = Fleet(copy.deepcopy(pelican), registry_capacity=1, policy=policy)
+        nulled = Fleet(
             copy.deepcopy(pelican),
-            policy,
             registry_capacity=1,
             resilience=ResiliencePolicy(),
+            policy=policy,
         )
         assert bare.run(schedule) == nulled.run(schedule)
         assert bare.signature() == nulled.signature()
@@ -474,15 +474,15 @@ class TestResilientRuns:
         pelican, splits = trained
         schedule = _schedule(tiny_corpus, splits)
         lossy = chaos_policy("blackout", seed=4)  # drop_probability 0.3
-        fleet = ChaosFleet(
+        fleet = Fleet(
             copy.deepcopy(pelican),
-            lossy,
             registry_capacity=1,
             resilience=replace(resilience_policy("strict", seed=4), deadline=None),
+            policy=lossy,
         )
         fleet.run(schedule)
         stats = fleet.resilience_stats
-        unbudgeted = ChaosFleet(copy.deepcopy(pelican), lossy, registry_capacity=1)
+        unbudgeted = Fleet(copy.deepcopy(pelican), registry_capacity=1, policy=lossy)
         unbudgeted.run(schedule)
         assert stats.retries_denied == len(stats.denial_log)
         assert stats.retries_denied > 0

@@ -21,13 +21,13 @@ import copy
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.data import CorpusConfig, SpatialLevel, generate_corpus
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
-    ChaosFleet,
     Cluster,
     DeploymentMode,
     EventKind,
@@ -50,8 +50,9 @@ LEVEL = SpatialLevel.BUILDING
 
 
 def make_door(**config):
-    """A front door over no fleet at all: admission is fleet-free."""
-    return ServiceFrontDoor(object(), ServiceConfig(**config))
+    """A front door over a bare fleet stand-in (no resilience policy):
+    admission itself never touches the fleet."""
+    return ServiceFrontDoor(SimpleNamespace(resilience=None), ServiceConfig(**config))
 
 
 def burst(times, uid=1):
@@ -362,11 +363,11 @@ class TestFrontDoorServing:
         whole workload sheds through ``shed_late_queries`` — and lands
         in the resilience layer's own shed counter."""
         pristine, _, schedule = service_base
-        fleet = ChaosFleet(
+        fleet = Fleet(
             copy.deepcopy(pristine),
-            chaos_policy("none", seed=3),
             registry_capacity=1,
             resilience=resilience_policy("default", seed=3, deadline=1.0),
+            policy=chaos_policy("none", seed=3),
         )
         front = ServiceFrontDoor(
             fleet, ServiceConfig(window=60.0, max_batch=10_000)
@@ -386,11 +387,11 @@ class TestFrontDoorServing:
         pristine, _, schedule = service_base
 
         def run():
-            fleet = ChaosFleet(
+            fleet = Fleet(
                 copy.deepcopy(pristine),
-                chaos_policy("lossy_network", seed=7),
                 registry_capacity=1,
                 resilience=resilience_policy("default", seed=7),
+                policy=chaos_policy("lossy_network", seed=7),
             )
             front = ServiceFrontDoor(fleet, ServiceConfig(window=0.1, max_batch=8))
             return front.run(schedule), front.signature()
