@@ -34,6 +34,7 @@ from repro.pelican.resilience import (
     DEFAULT_QUERY_DEADLINE,
     ResiliencePolicy,
     measure_availability,
+    measurement_deadline,
 )
 from repro.pelican.system import Pelican
 
@@ -200,16 +201,12 @@ def run_scenario_suite(
     preset applied to *every* cell (DESIGN.md §11); ``deadline``
     overrides the policy's per-query deadline.  Availability and SLO
     attainment are measured for every cell — with or without a policy —
-    against one common deadline (the override, else the policy's, else
-    :data:`~repro.pelican.resilience.DEFAULT_QUERY_DEADLINE`), so a
+    against one common deadline
+    (:func:`~repro.pelican.resilience.measurement_deadline`), so a
     resilient run and an unprotected baseline read on the same scale.
     """
     res_policy = named_resilience(resilience, chaos_seed, deadline)
-    measure_deadline = deadline
-    if measure_deadline is None and res_policy is not None:
-        measure_deadline = res_policy.deadline
-    if measure_deadline is None:
-        measure_deadline = DEFAULT_QUERY_DEADLINE
+    measure_deadline = measurement_deadline(deadline, res_policy)
     results: List[ScenarioResult] = []
     pelican = training_report = None
     for regime_name in regimes:

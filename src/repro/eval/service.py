@@ -94,7 +94,7 @@ class ServiceLoadResult:
         return self._svc("slo_attainment")
 
 
-def build_service_workload(
+def run_service_load(
     scale: ExperimentScale,
     regimes: Sequence[str] = ("campus",),
     rate: float = 0.05,
@@ -107,14 +107,25 @@ def build_service_workload(
     flash_duration: float = 20.0,
     update_prob: float = 0.0,
     traffic_seed: Optional[int] = None,
-    k: int = 3,
+    window: float = 0.05,
+    max_batch: int = 16,
+    queue_capacity: Optional[int] = 256,
+    policy: str = "none",
+    resilience: Optional[str] = None,
+    deadline: Optional[float] = None,
+    registry_capacity: Optional[int] = 64,
+    num_shards: int = 1,
+    placement: str = "hash",
+    store: str = "memory",
     fast_setup: bool = False,
-):
-    """Train a Pelican at ``scale`` and compile its generated workload.
+) -> ServiceLoadResult:
+    """One generated workload through the front door, end to end.
 
-    Returns ``(pelican, training_report, schedule, num_devices)`` —
-    the trained orchestrator is *pristine* (no onboards; the schedule
-    carries them), so callers can build any serving stack over it.
+    Trains a pristine Pelican at ``scale`` (the compiled schedule
+    carries the onboards).  The serving stack comes from the one builder,
+    :func:`repro.eval.fleet.build_cell_fleet`; traffic compiles once and
+    replays deterministically, so the same arguments always produce the
+    same ``signature`` (only ``wall_seconds`` varies).
     """
     corpus = generate_corpus(scale.corpus)
     pelican, training_report = trained_pelican(scale, corpus, fast_setup)
@@ -145,62 +156,11 @@ def build_service_workload(
         devices_per_user=devices_per_user,
         include_onboards=True,
         update_prob=update_prob,
-        k=k,
     )
     schedule = TrafficGenerator(traffic).compile(
         windows,
         onboard_data={uid: train for uid, (train, _) in splits.items()},
         update_data={uid: train for uid, (train, _) in splits.items()},
-    )
-    return pelican, training_report, schedule, len(splits) * devices_per_user
-
-
-def run_service_load(
-    scale: ExperimentScale,
-    regimes: Sequence[str] = ("campus",),
-    rate: float = 0.05,
-    horizon: float = 120.0,
-    devices_per_user: int = 4,
-    diurnal_amplitude: float = 0.0,
-    diurnal_period: float = 0.0,
-    flash_rate: float = 0.0,
-    flash_start: float = 0.0,
-    flash_duration: float = 20.0,
-    update_prob: float = 0.0,
-    traffic_seed: Optional[int] = None,
-    window: float = 0.05,
-    max_batch: int = 16,
-    queue_capacity: Optional[int] = 256,
-    policy: str = "none",
-    resilience: Optional[str] = None,
-    deadline: Optional[float] = None,
-    registry_capacity: Optional[int] = 64,
-    num_shards: int = 1,
-    placement: str = "hash",
-    store: str = "memory",
-    fast_setup: bool = False,
-) -> ServiceLoadResult:
-    """One generated workload through the front door, end to end.
-
-    The serving stack comes from the one builder,
-    :func:`repro.eval.fleet.build_cell_fleet`; traffic compiles once and
-    replays deterministically, so the same arguments always produce the
-    same ``signature`` (only ``wall_seconds`` varies).
-    """
-    pelican, training_report, schedule, num_devices = build_service_workload(
-        scale,
-        regimes=regimes,
-        rate=rate,
-        horizon=horizon,
-        devices_per_user=devices_per_user,
-        diurnal_amplitude=diurnal_amplitude,
-        diurnal_period=diurnal_period,
-        flash_rate=flash_rate,
-        flash_start=flash_start,
-        flash_duration=flash_duration,
-        update_prob=update_prob,
-        traffic_seed=traffic_seed,
-        fast_setup=fast_setup,
     )
     res_policy = named_resilience(resilience, scale.corpus.seed, deadline)
     fleet = build_cell_fleet(
@@ -234,7 +194,7 @@ def run_service_load(
         scale=scale.name,
         regimes=tuple(regimes),
         num_users=fleet.num_users,
-        num_devices=num_devices,
+        num_devices=len(splits) * devices_per_user,
         events=len(schedule),
         policy=policy,
         resilience=resilience or "none",

@@ -74,7 +74,6 @@ from repro.pelican.placement import (
     HashPlacement,
     LeastLoadedPlacement,
     PlacementPolicy,
-    StickyPlacement,
     make_placement,
 )
 from repro.pelican.privacy import (
@@ -103,7 +102,6 @@ from repro.pelican.resilience import (
     DegradationLadder,
     ResiliencePolicy,
     ResilienceStats,
-    RetryBudgetExhausted,
     ShardBreaker,
     measure_availability,
     resilience_policy,
@@ -130,7 +128,6 @@ __all__ = [
     "RESILIENCE_POLICIES",
     "ResiliencePolicy",
     "ResilienceStats",
-    "RetryBudgetExhausted",
     "ShardBreaker",
     "Channel",
     "ChaosPolicy",
@@ -159,7 +156,6 @@ __all__ = [
     "LeastLoadedPlacement",
     "PLACEMENT_POLICIES",
     "PlacementPolicy",
-    "StickyPlacement",
     "LOW_END_PHONE",
     "ModelRegistry",
     "OutputDefense",

@@ -33,7 +33,7 @@ makes accuracy comparable across chaos policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.pelican.resilience import (
     _STREAM_TRANSFER_BACKOFF,
     ResiliencePolicy,
     ResilienceStats,
+    SeededPolicy,
     shed_late_queries,
 )
 from repro.pelican.transport import Channel
@@ -60,15 +61,15 @@ _STREAM_SHARD_SEED = 6
 
 
 @dataclass(frozen=True)
-class ChaosPolicy:
+class ChaosPolicy(SeededPolicy):
     """Seeded fault-injection knobs for one hostile condition.
 
     All probabilities default to zero — the null policy injects nothing
     and is exactly equivalent to running without the chaos layer.
     """
 
-    name: str = "none"
-    seed: int = 0
+    SHARD_SEED_STREAM: ClassVar[int] = _STREAM_SHARD_SEED
+
     #: Per-attempt chance a transfer fails and must be resent (costing one
     #: extra round trip plus the payload bytes), up to ``max_retries``.
     drop_probability: float = 0.0
@@ -103,12 +104,6 @@ class ChaosPolicy:
             and self.cold_load_failure_probability <= 0.0
             and self.shard_outage_rate <= 0.0
         )
-
-    def rng(self, stream: int, *keys: int) -> np.random.Generator:
-        """A generator keyed by (seed, stream, keys): order-independent
-        determinism — the same decision point always sees the same draws,
-        no matter what other chaos components did before it."""
-        return np.random.default_rng((self.seed, stream, *(int(k) for k in keys)))
 
 
 #: Named hostile conditions the scenario matrix crosses with regimes.
@@ -219,16 +214,27 @@ def draw_retries(
     stats: Optional[ResilienceStats],
 ) -> int:
     """Retries one faulty transfer or cold load needs: each attempt fails
-    with ``probability``, up to ``cap``.  A resilience retry budget caps
-    them further and charges seeded backoff (``backoff_stream`` under the
-    same ``keys``) into ``stats`` (DESIGN.md §11)."""
-    if resilience is None or resilience.is_null or resilience.retry_budget is None:
-        attempts = 0
-        while attempts < cap and rng.random() < probability:
-            attempts += 1
+    with ``probability``, up to ``cap``.
+
+    A resilience retry budget (DESIGN.md §11) lowers the cap.  When the
+    budget binds, one more draw probes whether the fault would still
+    have retried; if so the denial is counted as ``(kind, *keys)``.
+    Every granted retry is counted too and pays seeded backoff drawn
+    from ``backoff_stream`` under the same ``keys``.  With a budget of
+    at least ``cap`` the draws are exactly the unbudgeted loop's.
+    """
+    budget = None if resilience is None else resilience.retry_budget
+    limit = cap if budget is None else min(cap, budget)
+    attempts = 0
+    while attempts < limit and rng.random() < probability:
+        attempts += 1
+    if budget is None:
         return attempts
-    attempts = resilience.capped_attempts(rng, probability, cap, kind, keys, stats)
+    if attempts == limit < cap and rng.random() < probability:
+        stats.retries_denied += 1
+        stats.denial_log.append((kind, *keys))
     if attempts:
+        stats.retries_spent += attempts
         jitter = resilience.rng(backoff_stream, *keys)
         stats.backoff_seconds += resilience.backoff_cost(jitter, attempts)
     return attempts
@@ -251,8 +257,8 @@ class FaultyChannel(Channel):
     chaos: ChaosStats = field(default_factory=ChaosStats)
     #: Optional fault-handling policy (DESIGN.md §11): caps each
     #: transfer's retries at the budget and charges seeded-jitter
-    #: exponential backoff into the resilience book.  ``None`` (or a
-    #: null policy) reproduces the unbudgeted chaos loop draw-for-draw.
+    #: exponential backoff into the resilience book.  ``None`` reproduces
+    #: the unbudgeted chaos loop draw-for-draw.
     resilience: Optional[ResiliencePolicy] = None
     resilience_stats: Optional[ResilienceStats] = None
     _draws: int = 0
@@ -366,7 +372,7 @@ class FlakyModelRegistry(ModelRegistry):
         policy: ChaosPolicy,
         chaos: ChaosStats,
         storage_mbps: float = 400.0,
-        store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
+        store: Optional[BlobStore] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
     ) -> None:
@@ -482,7 +488,7 @@ def faulty_schedule(
     then (with active resilience) cleared of queries pushed past their
     deadline."""
     perturbed = perturb_schedule(schedule, policy, chaos)
-    if resilience is not None and not resilience.is_null:
+    if resilience is not None:
         perturbed = shed_late_queries(schedule, perturbed, resilience, resilience_stats)
     return perturbed
 
@@ -537,18 +543,3 @@ def sample_shard_outages(
         chaos.shard_outage_windows += n
     return outages
 
-
-def shard_policy(policy: ChaosPolicy, shard_id: int) -> ChaosPolicy:
-    """The per-shard reseeding of a cluster chaos policy.
-
-    Each shard's channel/registry faults draw from a seed stably derived
-    from ``(policy seed, shard-seed stream, shard id)``, so shards fail
-    independently instead of in lock-step, while the whole cluster stays
-    reproducible from the one policy seed.
-    """
-    derived = int(
-        np.random.default_rng((policy.seed, _STREAM_SHARD_SEED, shard_id)).integers(
-            0, 2**31 - 1
-        )
-    )
-    return replace(policy, seed=derived)

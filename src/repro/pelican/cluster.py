@@ -52,14 +52,12 @@ from repro.pelican.chaos import (
     ChaosStats,
     perturb_schedule,
     sample_shard_outages,
-    shard_policy,
 )
 from repro.pelican.resilience import (
     DegradationLadder,
     ResiliencePolicy,
     ResilienceStats,
     ShardBreaker,
-    shard_resilience,
     shed_late_queries,
 )
 from repro.pelican.clock import (
@@ -82,7 +80,7 @@ from repro.pelican.dispatch import (  # noqa: F401
 )
 from repro.pelican.fleet import Fleet
 from repro.pelican.placement import HashPlacement, PlacementPolicy, make_placement
-from repro.pelican.storage import BlobStore, make_blob_store
+from repro.pelican.storage import BlobStore, MemoryBlobStore
 from repro.pelican.system import OnboardedUser, Pelican, PelicanConfig
 
 
@@ -118,7 +116,7 @@ class Cluster:
         Cloud shard count; ``1`` reproduces the legacy single-``Fleet``
         behaviour exactly.
     placement:
-        A policy name (``hash`` / ``least_loaded`` / ``sticky``) or a
+        A policy name (``hash`` / ``least_loaded``) or a
         ready :class:`~repro.pelican.placement.PlacementPolicy` instance.
     registry_capacity:
         *Per-shard* live-model budget (``None`` = unbounded).  The durable
@@ -137,16 +135,16 @@ class Cluster:
         like chaos), circuit breakers steering failover, query deadlines
         with load shedding, and the full-outage degradation ladder.  One
         :class:`~repro.pelican.resilience.ResilienceStats` book is
-        shared across all shards.  ``None`` and the null policy are
-        byte-for-byte identical to the pre-resilience behaviour.
+        shared across all shards.  A null policy is stored as ``None``;
+        either is byte-for-byte identical to the pre-resilience
+        behaviour.
     store:
-        The cluster-wide durable checkpoint store (DESIGN.md §14).  A
-        kind string (``"memory"``, ``"disk"``, ``"tiered"``) builds a
-        store the cluster owns and closes; a ready-made
-        :class:`~repro.pelican.storage.BlobStore` (or plain dict) is used
-        as-is and left open.  Responses and ``totals_signature()`` are
-        bit-identical across store kinds — stores are byte-transparent
-        and fetches are billed at logical blob sizes.
+        The cluster-wide durable checkpoint store (DESIGN.md §14): a
+        ready-made :class:`~repro.pelican.storage.BlobStore`, used as-is
+        and left open, or ``None`` for an in-memory store the cluster
+        owns.  Responses and ``totals_signature()`` are bit-identical
+        across store kinds — stores are byte-transparent and fetches are
+        billed at logical blob sizes.
     """
 
     def __init__(
@@ -160,7 +158,7 @@ class Cluster:
         device_profile: DeviceProfile = LOW_END_PHONE,
         policy: Optional[ChaosPolicy] = None,
         resilience: Optional[ResiliencePolicy] = None,
-        store: Union[str, BlobStore, Dict[int, bytes], None] = None,
+        store: Optional[BlobStore] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("a cluster needs at least one shard")
@@ -179,33 +177,30 @@ class Cluster:
             self.placement = make_placement(placement, config.seed, num_shards)
         self.policy = policy
         self.chaos = ChaosStats()
+        if resilience is not None and resilience.is_null:
+            resilience = None
         self.resilience = resilience
         #: One stats book for the whole cluster (shared with every
         #: shard), so the signature overlay needs no merging.
         self.resilience_stats = ResilienceStats()
-        active = resilience is not None and not resilience.is_null
         self._breakers: Dict[int, ShardBreaker] = (
             {
                 shard_id: ShardBreaker(shard_id, resilience, self.resilience_stats)
                 for shard_id in range(num_shards)
             }
-            if active and resilience.breaker_threshold is not None
+            if resilience is not None and resilience.breaker_threshold is not None
             else {}
         )
         self._ladder: Optional[DegradationLadder] = (
             DegradationLadder(resilience, spec, config.seed)
-            if active and resilience.degrade_tiers
+            if resilience is not None and resilience.degrade_tiers
             else None
         )
         #: Cluster-wide durable checkpoint store, shared by every shard's
-        #: registry — what makes cross-shard failover cold loads possible.
-        #: Any :class:`~repro.pelican.storage.BlobStore` works (DESIGN.md
-        #: §14); a kind string (``"memory"``/``"disk"``/``"tiered"``)
-        #: builds one the cluster owns and closes.
-        self._owns_store = isinstance(store, str) or store is None
-        self.store: Union[BlobStore, Dict[int, bytes]] = (
-            make_blob_store(store or "memory") if self._owns_store else store
-        )
+        #: registry — what makes cross-shard failover cold loads possible
+        #: (DESIGN.md §14).
+        self._owns_store = store is None
+        self.store: BlobStore = MemoryBlobStore() if store is None else store
         self.shards: List[Fleet] = [
             Fleet(
                 Pelican(spec, config),
@@ -213,9 +208,11 @@ class Cluster:
                 cloud_profile=cloud_profile,
                 device_profile=device_profile,
                 registry_store=self.store,
-                resilience=shard_resilience(resilience, shard_id) if active else None,
+                resilience=(
+                    None if resilience is None else resilience.for_shard(shard_id)
+                ),
                 resilience_stats=self.resilience_stats,
-                policy=None if policy is None else shard_policy(policy, shard_id),
+                policy=None if policy is None else policy.for_shard(shard_id),
             )
             for shard_id in range(num_shards)
         ]
@@ -314,7 +311,7 @@ class Cluster:
         signature = overlay_signature(
             self.report.signature(), "chaos_", self.merged_chaos()
         )
-        if self.resilience is not None and not self.resilience.is_null:
+        if self.resilience is not None:
             signature = overlay_signature(
                 signature, "resilience_", self.resilience_stats.signature()
             )
@@ -392,12 +389,10 @@ class Cluster:
         return self._scatter(requests, lambda shard, sub: shard.serve_looped(sub))
 
     def close(self) -> None:
-        """Close the store the cluster owns (no-op when memory-backed or
-        caller-provided)."""
+        """Close the memory store the cluster made (a caller-provided
+        store stays open)."""
         if self._owns_store:
-            closer = getattr(self.store, "close", None)
-            if closer is not None:
-                closer()
+            self.store.close()
 
     def _scatter(self, requests, serve_one_shard) -> List[QueryResponse]:
         """Split requests by home shard, serve, and merge in request order.
@@ -500,7 +495,7 @@ class Cluster:
         perturbed = perturb_schedule(
             schedule, self.policy, self.chaos, outage_defer=self._outage_defer
         )
-        if self.resilience is not None and not self.resilience.is_null:
+        if self.resilience is not None:
             perturbed = shed_late_queries(
                 schedule, perturbed, self.resilience, self.resilience_stats
             )

@@ -37,7 +37,7 @@ here, so ``from repro.pelican.fleet import FleetSchedule`` keeps working.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.data.dataset import SequenceDataset
 from repro.data.features import FeatureSpec
@@ -127,16 +127,16 @@ class Fleet:
         Hardware models used to convert per-side MACs into simulated
         seconds; ``device_profile`` is also the default onboarding device.
     registry_store:
-        Optional shared durable blob store — any
-        :class:`~repro.pelican.storage.BlobStore` or plain dict.  A
-        standalone fleet keeps its own in-memory store; cluster shards
+        Optional shared durable :class:`~repro.pelican.storage.BlobStore`.
+        A standalone fleet keeps its own in-memory store; cluster shards
         pass one shared store so every shard can cold-load any user's
         checkpoint during failover (DESIGN.md §9, §14).  Store choice
         never moves responses or signatures.
     resilience / resilience_stats:
         Optional fault-handling policy and its stats book (DESIGN.md
-        §11); a cluster shares one stats book across its shards.  ``None``
-        (or the null policy) leaves behaviour byte-identical.
+        §11); a cluster shares one stats book across its shards.  A null
+        policy is stored as ``None``; either leaves behaviour
+        byte-identical.
     policy:
         Optional :class:`~repro.pelican.chaos.ChaosPolicy` (DESIGN.md §8):
         the shared channel (and every deployed endpoint) is rewired to a
@@ -155,7 +155,7 @@ class Fleet:
         registry_capacity: Optional[int] = 64,
         cloud_profile: DeviceProfile = CLOUD_SERVER,
         device_profile: DeviceProfile = LOW_END_PHONE,
-        registry_store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
+        registry_store: Optional[BlobStore] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
         policy: Optional[ChaosPolicy] = None,
@@ -163,6 +163,8 @@ class Fleet:
         self.pelican = pelican
         self.policy = policy
         self.chaos = ChaosStats()
+        if resilience is not None and resilience.is_null:
+            resilience = None
         self.resilience = resilience
         self.resilience_stats = (
             resilience_stats if resilience_stats is not None else ResilienceStats()
@@ -233,7 +235,7 @@ class Fleet:
         signature = self.report.signature()
         if self.policy is not None:
             signature = overlay_signature(signature, "chaos_", self.chaos.signature())
-        if self.resilience is not None and not self.resilience.is_null:
+        if self.resilience is not None:
             signature = overlay_signature(
                 signature, "resilience_", self.resilience_stats.signature()
             )

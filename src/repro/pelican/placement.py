@@ -7,7 +7,7 @@ always produces the identical placement map, so cluster runs stay
 bit-reproducible (the determinism tests in
 ``tests/pelican/test_placement.py`` pin this).
 
-Three pluggable policies:
+Two pluggable policies:
 
 * **hash** — consistent hashing.  Every shard owns ``vnodes`` points on
   the unit ring, each drawn from ``default_rng((seed, stream, shard,
@@ -19,10 +19,9 @@ Three pluggable policies:
   shard currently owning the fewest users (ties break toward the lowest
   shard id).  Deterministic given the onboarding order — which the event
   clock already fixes.
-* **sticky** — consistent hashing for the first placement, then pinned:
-  once a user has been placed, the mapping never changes, even if the
-  ring would now say otherwise.  The pin table is inspectable
-  (:attr:`StickyPlacement.pins`) and survives re-lookups verbatim.
+
+A cluster never changes its shard count, so a hash placement never
+moves a user: it is already sticky.
 """
 
 from __future__ import annotations
@@ -110,21 +109,6 @@ class HashPlacement(PlacementPolicy):
         return seen
 
 
-class StickyPlacement(HashPlacement):
-    """Consistent hashing with first-placement pinning."""
-
-    name = "sticky"
-
-    def __init__(self, seed: int, num_shards: int, vnodes: int = 64) -> None:
-        super().__init__(seed, num_shards, vnodes=vnodes)
-        self.pins: Dict[int, int] = {}
-
-    def shard_for(self, user_id: int) -> int:
-        if user_id not in self.pins:
-            self.pins[user_id] = super().shard_for(user_id)
-        return self.pins[user_id]
-
-
 class LeastLoadedPlacement(PlacementPolicy):
     """Assignment-time balancing by current per-shard user count."""
 
@@ -146,7 +130,6 @@ class LeastLoadedPlacement(PlacementPolicy):
 #: Policy registry keyed by CLI-facing names.
 PLACEMENT_POLICIES = {
     HashPlacement.name: HashPlacement,
-    StickyPlacement.name: StickyPlacement,
     LeastLoadedPlacement.name: LeastLoadedPlacement,
 }
 

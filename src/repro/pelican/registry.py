@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class ModelRegistry:
         Simulated checkpoint-store fetch bandwidth; a cold load of a
         ``b``-byte blob costs ``b * 8 / (storage_mbps * 1e6)`` seconds.
     store:
-        The durable blob store to read/write — any
-        :class:`~repro.pelican.storage.BlobStore` or a plain dict.  Defaults to a private
+        The durable :class:`~repro.pelican.storage.BlobStore` to
+        read/write.  Defaults to a private
         :class:`~repro.pelican.storage.MemoryBlobStore`; a
         :class:`~repro.pelican.cluster.Cluster` passes one shared store to
         every shard's registry, modeling cluster-wide durable storage
@@ -75,7 +75,7 @@ class ModelRegistry:
         capacity: Optional[int] = 64,
         seed: int = 0,
         storage_mbps: float = 400.0,
-        store: Optional[Union[Dict[int, bytes], BlobStore]] = None,
+        store: Optional[BlobStore] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("registry capacity must be >= 1 (or None for unbounded)")
@@ -84,9 +84,7 @@ class ModelRegistry:
         self.capacity = capacity
         self.seed = seed
         self.storage_mbps = storage_mbps
-        self._blobs: Union[Dict[int, bytes], BlobStore] = (
-            MemoryBlobStore() if store is None else store
-        )
+        self._blobs: BlobStore = MemoryBlobStore() if store is None else store
         self._live: "OrderedDict[int, NextLocationModel]" = OrderedDict()
         self.stats = RegistryStats()
 
@@ -106,15 +104,11 @@ class ModelRegistry:
     def stored_bytes(self) -> int:
         """Total physical size of the durable blob store.
 
-        O(1) against a :class:`~repro.pelican.storage.BlobStore` (every
-        store maintains a running byte counter across all mutation paths,
-        including the cluster's direct writes that bypass any registry);
-        plain-dict replicas fall back to the recomputed sum.
+        O(1): every store maintains a running byte counter across all
+        mutation paths, including the cluster's direct writes that bypass
+        any registry.
         """
-        total = getattr(self._blobs, "total_bytes", None)
-        if total is not None:
-            return total
-        return sum(len(blob) for blob in self._blobs.values())
+        return self._blobs.total_bytes
 
     # ------------------------------------------------------------------
     def register(self, user_id: int, model: NextLocationModel) -> int:
@@ -144,8 +138,7 @@ class ModelRegistry:
         # Zero-copy read where the store supports it (mmap-backed tiers);
         # rebuild copies every tensor out, so the view never outlives this
         # call.
-        reader = getattr(self._blobs, "view", None)
-        blob = reader(user_id) if reader is not None else self._blobs[user_id]
+        blob = self._blobs.view(user_id)
         model = rebuild_personal_model(
             blob, np.random.default_rng(self.seed + user_id)
         )

@@ -8,9 +8,10 @@ from ``default_rng((seed, stream, key))`` exactly like chaos draws:
 * **Retry budgets + exponential backoff** — lossy transfers and flaky
   cold loads may spend at most ``retry_budget`` retries each; every
   retry also pays seeded-jitter exponential backoff seconds, and a
-  retry the budget cannot cover surfaces as a typed
-  :class:`RetryBudgetExhausted` (caught and counted, never silently
-  absorbed as more retry seconds).
+  retry the budget cannot cover is counted as a denial in
+  :class:`ResilienceStats` (never silently absorbed as more retry
+  seconds).  One function draws all of it:
+  :func:`~repro.pelican.chaos.draw_retries`.
 * **Per-shard circuit breakers** — a closed/open/half-open
   :class:`ShardBreaker` per cloud shard, keyed off a sliding failure
   window on the event clock.  Open breakers redirect failover *before*
@@ -39,7 +40,7 @@ serves them through the legacy home-shard path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,26 +68,41 @@ DEFAULT_QUERY_DEADLINE = 15.0
 DEGRADE_TIERS = ("stale", "general", "prior")
 
 
-class RetryBudgetExhausted(RuntimeError):
-    """A transfer wanted one more retry than its budget allows.
+@dataclass(frozen=True)
+class SeededPolicy:
+    """The seeded head both fault policies share: the chaos
+    :class:`~repro.pelican.chaos.ChaosPolicy` and :class:`ResiliencePolicy`.
 
-    The typed surface for budget exhaustion: raised at the decision
-    point, caught by the owning component, and recorded as a denial in
-    :class:`ResilienceStats` — instead of the unbounded retry seconds
-    the chaos layer alone would have paid.
+    Every decision draws from :meth:`rng`, keyed by ``(seed, stream,
+    keys)`` — order-independent determinism: the same decision point
+    always sees the same draws, no matter what other components drew
+    before it.  Subclasses fix :attr:`SHARD_SEED_STREAM`.
     """
 
-    def __init__(self, kind: str, key: Tuple[int, ...], budget: int) -> None:
-        super().__init__(
-            f"{kind} retry budget ({budget}) exhausted at draw key {key}"
-        )
-        self.kind = kind
-        self.key = key
-        self.budget = budget
+    name: str = "none"
+    seed: int = 0
+
+    #: Stream id of the per-shard reseed draw (never renumber).
+    SHARD_SEED_STREAM: ClassVar[int]
+
+    def rng(self, stream: int, *keys: int) -> np.random.Generator:
+        """A generator keyed by (seed, stream, keys)."""
+        return np.random.default_rng((self.seed, stream, *(int(k) for k in keys)))
+
+    def for_shard(self, shard_id: int) -> "SeededPolicy":
+        """This policy reseeded for one cluster shard.
+
+        The shard's seed is stably derived from ``(seed,
+        SHARD_SEED_STREAM, shard id)``, so shards draw independently
+        instead of in lock-step while the cluster stays reproducible
+        from the one policy seed.
+        """
+        derived = self.rng(self.SHARD_SEED_STREAM, shard_id).integers(0, 2**31 - 1)
+        return replace(self, seed=int(derived))
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(SeededPolicy):
     """Seeded knobs for one fault-handling discipline.
 
     Every knob defaults to *off* — the null policy changes nothing and
@@ -95,8 +111,8 @@ class ResiliencePolicy:
     holds).
     """
 
-    name: str = "none"
-    seed: int = 0
+    SHARD_SEED_STREAM: ClassVar[int] = _STREAM_SHARD_SEED
+
     #: Max retries any single transfer / cold load may consume.  ``None``
     #: leaves the chaos layer's own caps untouched (unbounded budget).
     retry_budget: Optional[int] = None
@@ -131,55 +147,15 @@ class ResiliencePolicy:
 
     @property
     def is_null(self) -> bool:
-        """True when this policy can never change a run."""
+        """True when this policy can never change a run.  ``Fleet`` and
+        ``Cluster`` normalize such a policy to ``None`` on construction,
+        so everything below them only tests ``is not None``."""
         return (
             self.retry_budget is None
             and self.breaker_threshold is None
             and self.deadline is None
             and not self.degrade_tiers
         )
-
-    def rng(self, stream: int, *keys: int) -> np.random.Generator:
-        """A generator keyed by (seed, stream, keys) — the same
-        order-independent determinism scheme as chaos draws."""
-        return np.random.default_rng((self.seed, stream, *(int(k) for k in keys)))
-
-    # ------------------------------------------------------------------
-    def capped_attempts(
-        self,
-        rng: np.random.Generator,
-        probability: float,
-        chaos_cap: int,
-        kind: str,
-        key: Tuple[int, ...],
-        stats: Optional["ResilienceStats"],
-    ) -> int:
-        """Draw one fault's retry count under the budget.
-
-        Replays the chaos layer's retry loop with the cap lowered to the
-        budget; when the cap binds *and* the next draw would still have
-        retried, the denial surfaces as a (caught) typed
-        :class:`RetryBudgetExhausted`.  With ``retry_budget >= chaos_cap``
-        the draw sequence is identical to the unbudgeted loop.
-        """
-        cap = chaos_cap if self.retry_budget is None else min(chaos_cap, self.retry_budget)
-        attempt = 0
-        while attempt < cap and rng.random() < probability:
-            attempt += 1
-        if (
-            self.retry_budget is not None
-            and attempt == cap
-            and cap < chaos_cap
-            and rng.random() < probability
-        ):
-            try:
-                raise RetryBudgetExhausted(kind, key, self.retry_budget)
-            except RetryBudgetExhausted as exhausted:
-                if stats is not None:
-                    stats.record_denial(exhausted)
-        if attempt and stats is not None and self.retry_budget is not None:
-            stats.retries_spent += attempt
-        return attempt
 
     def backoff_cost(self, rng: np.random.Generator, attempts: int) -> float:
         """Total backoff seconds for ``attempts`` consecutive retries."""
@@ -239,20 +215,17 @@ def resilience_policy(
     return policy
 
 
-def shard_resilience(policy: ResiliencePolicy, shard_id: int) -> ResiliencePolicy:
-    """Per-shard reseeding of a cluster resilience policy.
-
-    Mirrors :func:`~repro.pelican.chaos.shard_policy`: each shard's
-    backoff jitter draws from a seed stably derived from
-    ``(policy seed, shard-seed stream, shard id)``, so shards jitter
-    independently while the cluster stays reproducible from one seed.
-    """
-    derived = int(
-        np.random.default_rng((policy.seed, _STREAM_SHARD_SEED, shard_id)).integers(
-            0, 2**31 - 1
-        )
-    )
-    return replace(policy, seed=derived)
+def measurement_deadline(
+    override: Optional[float], policy: Optional[ResiliencePolicy]
+) -> float:
+    """The deadline availability/SLO books score against: ``override``,
+    else the policy's own deadline, else :data:`DEFAULT_QUERY_DEADLINE` —
+    so a resilient run and an unprotected baseline read on one scale."""
+    if override is not None:
+        return float(override)
+    if policy is not None and policy.deadline is not None:
+        return float(policy.deadline)
+    return DEFAULT_QUERY_DEADLINE
 
 
 @dataclass
@@ -282,12 +255,8 @@ class ResilienceStats:
     #: Failover routing decisions redirected by an open breaker.
     breaker_redirects: int = 0
     breaker_log: List[Tuple[float, int, str, str]] = field(default_factory=list)
-    #: Typed denials, ``(kind, *key)`` per exhausted budget, in order.
+    #: Denials, ``(kind, *key)`` per exhausted budget, in order.
     denial_log: List[Tuple[Any, ...]] = field(default_factory=list)
-
-    def record_denial(self, exhausted: RetryBudgetExhausted) -> None:
-        self.retries_denied += 1
-        self.denial_log.append((exhausted.kind, *exhausted.key))
 
     def count_degraded(self, tier: str, num: int) -> None:
         if tier == "stale":

@@ -50,7 +50,11 @@ from repro.pelican.clock import (
 from repro.pelican.cluster import Cluster
 from repro.pelican.dispatch import ProbePayload
 from repro.pelican.fleet import Fleet
-from repro.pelican.resilience import DEFAULT_QUERY_DEADLINE, shed_late_queries
+from repro.pelican.resilience import (
+    DEFAULT_QUERY_DEADLINE,
+    measurement_deadline,
+    shed_late_queries,
+)
 
 __all__ = [
     "LatencyBook",
@@ -253,19 +257,13 @@ class ServiceFrontDoor:
         self.fleet = fleet
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
-        self.book = LatencyBook(deadline=self._resolve_deadline())
+        self.book = LatencyBook(
+            deadline=measurement_deadline(self.config.deadline, fleet.resilience)
+        )
         #: seq → (arrival time, flush time, flush service seconds) for
         #: every admitted prediction query of the latest :meth:`admit`.
         #: Reset per admission: every schedule numbers its seqs afresh.
         self._admission: Dict[int, Tuple[float, float, float]] = {}
-
-    def _resolve_deadline(self) -> float:
-        if self.config.deadline is not None:
-            return float(self.config.deadline)
-        policy = self.fleet.resilience
-        if policy is not None and not policy.is_null and policy.deadline is not None:
-            return float(policy.deadline)
-        return DEFAULT_QUERY_DEADLINE
 
     # ------------------------------------------------------------------
     # Admission: original schedule -> rebatched schedule
@@ -364,7 +362,7 @@ class ServiceFrontDoor:
         """
         admitted = self.admit(schedule)
         policy = self.fleet.resilience
-        if policy is not None and not policy.is_null:
+        if policy is not None:
             admitted = shed_late_queries(
                 schedule, admitted, policy, self.fleet.resilience_stats
             )

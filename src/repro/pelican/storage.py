@@ -16,9 +16,10 @@ path saturates, so the store is an interface with three implementations
   disk tier with deterministic LRU demotion.
 
 All three expose the mutable-mapping API the fleet and cluster layers
-already use on the shared store (``items``/``get``/``update``/indexing), so
-any store slots in wherever a ``Dict[int, bytes]`` was accepted.  Stores are
-byte-transparent: the bytes read back are exactly the bytes written, which
+use on the shared store (``items``/``get``/``update``/indexing) plus
+``total_bytes``, ``view`` and ``close``; the registry, fleet and cluster
+accept a :class:`BlobStore` (or ``None`` for a fresh memory store) and
+nothing else.  Stores are byte-transparent: the bytes read back are exactly the bytes written, which
 is why store choice cannot move responses or signatures.
 """
 

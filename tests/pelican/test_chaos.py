@@ -11,6 +11,7 @@ The chaos layer's contract has three parts, each covered here:
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.pelican import (
     Pelican,
     PelicanConfig,
     QueryRequest,
+    ResiliencePolicy,
     ResilienceStats,
     chaos_policy,
     perturb_schedule,
@@ -62,6 +64,18 @@ class TestChaosPolicy:
         first = policy.rng(1, 7).random()
         policy.rng(2, 99).random()  # interleaved other-stream draw
         assert policy.rng(1, 7).random() == first
+
+    @pytest.mark.parametrize(
+        "policy, stream",
+        [(ChaosPolicy(name="c", seed=5), 6), (ResiliencePolicy(name="r", seed=5), 9)],
+        ids=["chaos", "resilience"],
+    )
+    def test_for_shard_reseeds_on_the_policy_stream(self, policy, stream):
+        """Shard reseeding keeps its committed stream ids (chaos 6,
+        resilience 9) and changes nothing but the seed."""
+        shard = policy.for_shard(2)
+        derived = np.random.default_rng((5, stream, 2)).integers(0, 2**31 - 1)
+        assert shard == replace(policy, seed=int(derived))
 
 
 # ----------------------------------------------------------------------

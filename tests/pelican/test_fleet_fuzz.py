@@ -353,6 +353,7 @@ def test_null_resilience_identical_to_resilience_off(base, tiny_corpus, seed):
         resilience=ResiliencePolicy(),
         policy=policy,
     )
+    assert nulled.resilience is None
     assert bare.run(schedule) == nulled.run(schedule)
     assert bare.signature() == nulled.signature()
     assert not any(k.startswith("resilience_") for k in nulled.signature())

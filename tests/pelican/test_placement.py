@@ -12,7 +12,6 @@ from repro.pelican import (
     HashPlacement,
     LeastLoadedPlacement,
     PlacementPolicy,
-    StickyPlacement,
     make_placement,
 )
 
@@ -94,21 +93,6 @@ class TestLeastLoaded:
         b = LeastLoadedPlacement(seed=0, num_shards=2)
         order_b = [b.shard_for(uid) for uid in (4, 3, 2, 1)]
         assert order_a == order_b == [0, 1, 0, 1]  # round robin from empty
-
-
-class TestSticky:
-    def test_pins_survive_relookup(self):
-        placement = StickyPlacement(seed=1, num_shards=3)
-        pins = {uid: placement.shard_for(uid) for uid in USERS}
-        assert placement.pins == pins
-        # Tamper with a pin: sticky honors it over the ring.
-        placement.pins[USERS[0]] = (pins[USERS[0]] + 1) % 3
-        assert placement.shard_for(USERS[0]) == placement.pins[USERS[0]]
-
-    def test_first_placement_matches_hash(self):
-        sticky = StickyPlacement(seed=9, num_shards=4)
-        hashed = HashPlacement(seed=9, num_shards=4)
-        assert sticky.placement_map(USERS) == hashed.placement_map(USERS)
 
 
 class TestValidation:

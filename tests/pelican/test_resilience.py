@@ -3,9 +3,8 @@
 The layer's contract, mirrored from the chaos layer's (§8) and covered
 here mechanism by mechanism:
 
-* retry budgets cap chaos retries and surface exhaustion as typed,
-  counted denials — with an ample budget the RNG draw sequence is
-  untouched;
+* retry budgets cap chaos retries and count exhaustion as denials —
+  with an ample budget the RNG draw sequence is untouched;
 * circuit breakers walk closed → open → half-open deterministically on
   the event clock, and their transition log is bit-identical across
   same-seed runs;
@@ -44,6 +43,7 @@ from repro.pelican import (
     resilience_policy,
     shed_late_queries,
 )
+from repro.pelican.chaos import draw_retries
 from repro.pelican.dispatch import ProbePayload
 
 LEVEL = SpatialLevel.BUILDING
@@ -71,33 +71,6 @@ class TestPolicy:
         with pytest.raises(ValueError, match="unknown degradation tier"):
             ResiliencePolicy(degrade_tiers=("psychic",))
 
-    def test_capped_attempts_budget_binds_and_denies(self):
-        policy = ResiliencePolicy(retry_budget=2)
-        stats = ResilienceStats()
-        rng = np.random.default_rng(0)
-        # probability 1.0: the chaos loop would retry to its cap (5);
-        # the budget cuts it at 2 and the denial probe fires.
-        attempts = policy.capped_attempts(rng, 1.0, 5, "transfer", (7,), stats)
-        assert attempts == 2
-        assert stats.retries_spent == 2
-        assert stats.retries_denied == 1
-        assert stats.denial_log == [("transfer", 7)]
-
-    def test_capped_attempts_ample_budget_preserves_draws(self):
-        """With budget >= the chaos cap the RNG consumption is identical
-        to the unbudgeted loop — the draw-parity half of null-identity."""
-        policy = ResiliencePolicy(retry_budget=9)
-        probability, cap = 0.6, 4
-        budgeted = np.random.default_rng(3)
-        attempts = policy.capped_attempts(budgeted, probability, cap, "t", (0,), None)
-        plain = np.random.default_rng(3)
-        reference = 0
-        while reference < cap and plain.random() < probability:
-            reference += 1
-        assert attempts == reference
-        # Same post-state: the next draw from either generator agrees.
-        assert budgeted.random() == plain.random()
-
     def test_backoff_cost_deterministic_and_growing(self):
         policy = ResiliencePolicy(retry_budget=2, backoff_base=0.05)
         one = policy.backoff_cost(policy.rng(7, 1), 1)
@@ -105,6 +78,73 @@ class TestPolicy:
         assert one > 0.0
         assert two > one * 2  # exponential: second retry costs double+
         assert policy.backoff_cost(policy.rng(7, 1), 2) == two
+
+
+#: The retry draw's generator seed and the fault's draw keys.  At
+#: probability 0.4 this generator's first two draws retry and the third
+#: does not, so budgets 0 and 1 bind with a denial, budget 2 binds
+#: without one, and budget ``DRAW_CAP`` never binds.
+DRAW_SEED = (2,)
+DRAW_KEYS = (7, 3)
+DRAW_CAP = 4
+BACKOFF_STREAM = 7
+
+
+class TestDrawRetries:
+    """``chaos.draw_retries`` is the one retry draw of every lossy
+    transfer and flaky cold load: budget cap, denial probe, counters and
+    backoff, checked against a by-hand replay of its draw stream."""
+
+    @pytest.mark.parametrize("probability", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("budget", [None, 0, 1, 2, DRAW_CAP])
+    def test_draw_retries_under_budget(self, budget, probability):
+        policy = ResiliencePolicy(retry_budget=budget)
+        stats = ResilienceStats()
+        rng = np.random.default_rng(DRAW_SEED)
+        attempts = draw_retries(
+            rng, probability, DRAW_CAP, "transfer", DRAW_KEYS,
+            BACKOFF_STREAM, policy, stats,
+        )
+
+        draws = np.random.default_rng(DRAW_SEED).random(DRAW_CAP + 1)
+        wanted = next(
+            (i for i, u in enumerate(draws) if u >= probability), len(draws)
+        )
+        limit = DRAW_CAP if budget is None else min(DRAW_CAP, budget)
+        expected = min(wanted, limit)
+        # The loop reads one failing draw unless the cap stopped it; a
+        # binding budget then reads one probe draw.
+        probed = budget is not None and expected == limit < DRAW_CAP
+        used = expected + (expected < limit) + probed
+        denied = probed and wanted > limit
+
+        assert attempts == expected
+        replay = np.random.default_rng(DRAW_SEED)
+        replay.random(used)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        budgeted = budget is not None
+        assert stats.retries_spent == (expected if budgeted else 0)
+        assert stats.retries_denied == int(denied)
+        assert stats.denial_log == ([("transfer", *DRAW_KEYS)] if denied else [])
+        backoff = (
+            policy.backoff_cost(policy.rng(BACKOFF_STREAM, *DRAW_KEYS), expected)
+            if budgeted
+            else 0.0
+        )
+        assert stats.backoff_seconds == backoff
+
+    def test_ample_budget_draws_like_no_budget(self):
+        """The draw-parity half of null identity: a budget of at least
+        the cap consumes the generator exactly like no budget."""
+        states = []
+        for budget in (None, DRAW_CAP, DRAW_CAP + 5):
+            rng = np.random.default_rng(DRAW_SEED)
+            attempts = draw_retries(
+                rng, 0.4, DRAW_CAP, "cold_load", DRAW_KEYS, BACKOFF_STREAM,
+                ResiliencePolicy(retry_budget=budget), ResilienceStats(),
+            )
+            states.append((attempts, rng.random()))
+        assert states[0] == states[1] == states[2]
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +325,7 @@ class TestNullIdentity:
             resilience=ResiliencePolicy(),
             policy=policy,
         )
+        assert nulled.resilience is None
         assert bare.run(schedule) == nulled.run(schedule)
         assert bare.signature() == nulled.signature()
         # The golden contract: the key set must not gain resilience_* keys.
@@ -296,6 +337,8 @@ class TestNullIdentity:
         policy = chaos_policy("shard_outage", seed=2)
         bare = _cluster(pelican, policy=policy)
         nulled = _cluster(pelican, policy=policy, resilience=ResiliencePolicy())
+        assert nulled.resilience is None
+        assert all(shard.resilience is None for shard in nulled.shards)
         assert bare.run(schedule) == nulled.run(schedule)
         assert bare.signature() == nulled.signature()
         assert not any(k.startswith("resilience_") for k in nulled.signature())
