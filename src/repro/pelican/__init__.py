@@ -33,7 +33,7 @@ from repro.pelican.chaos import (
 )
 from repro.pelican.clock import replay_schedule
 from repro.pelican.cloud import CloudTrainer, ResourceReport
-from repro.pelican.cluster import Cluster, split_schedule
+from repro.pelican.cluster import Cluster
 from repro.pelican.defenses import (
     GaussianNoiseDefense,
     OutputDefense,
@@ -203,7 +203,6 @@ __all__ = [
     "replay_schedule",
     "sample_shard_outages",
     "serialize_personal_model",
-    "split_schedule",
     "totals_signature",
     "update_personal_model",
 ]

@@ -33,7 +33,7 @@ makes accuracy comparable across chaos policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -493,6 +493,32 @@ def faulty_schedule(
     return perturbed
 
 
+def _sample_windows(
+    policy: ChaosPolicy,
+    stream: int,
+    keys: Iterable[int],
+    rate: float,
+    duration: float,
+    horizon: Tuple[float, float],
+) -> Dict[int, List[Tuple[float, float]]]:
+    """Poisson(``rate``) windows of ``duration`` per key over ``horizon``.
+
+    Each key draws from its own ``policy.rng(stream, key)``: a Poisson
+    count, then that many sorted uniform starts.  Keys with no window are
+    absent from the map.
+    """
+    if rate <= 0.0:
+        return {}
+    windows: Dict[int, List[Tuple[float, float]]] = {}
+    for key in keys:
+        rng = policy.rng(stream, key)
+        n = int(rng.poisson(rate))
+        if n:
+            starts = np.sort(rng.uniform(horizon[0], horizon[1], size=n))
+            windows[key] = [(float(s), float(s) + duration) for s in starts]
+    return windows
+
+
 def sample_offline_windows(
     events: List[FleetEvent],
     horizon: Tuple[float, float],
@@ -500,19 +526,10 @@ def sample_offline_windows(
     chaos: ChaosStats,
 ) -> Dict[int, List[Tuple[float, float]]]:
     """Sample each device's offline windows over the schedule horizon."""
-    if policy.offline_window_rate <= 0.0:
-        return {}
-    windows: Dict[int, List[Tuple[float, float]]] = {}
-    for user_id in sorted({event.user_id for event in events}):
-        rng = policy.rng(_STREAM_OFFLINE, user_id)
-        n = int(rng.poisson(policy.offline_window_rate))
-        if not n:
-            continue
-        starts = np.sort(rng.uniform(horizon[0], horizon[1], size=n))
-        windows[user_id] = [
-            (float(s), float(s) + policy.offline_window_duration) for s in starts
-        ]
-        chaos.offline_windows += n
+    users = sorted({event.user_id for event in events})
+    rate, duration = policy.offline_window_rate, policy.offline_window_duration
+    windows = _sample_windows(policy, _STREAM_OFFLINE, users, rate, duration, horizon)
+    chaos.offline_windows += sum(len(w) for w in windows.values())
     return windows
 
 
@@ -528,18 +545,10 @@ def sample_shard_outages(
     every other fault stream and of the user population, so adding chaos
     knobs never re-rolls the outages (DESIGN.md §9).
     """
-    if policy.shard_outage_rate <= 0.0:
-        return {}
-    outages: Dict[int, List[Tuple[float, float]]] = {}
-    for shard_id in range(num_shards):
-        rng = policy.rng(_STREAM_SHARD_OUTAGE, shard_id)
-        n = int(rng.poisson(policy.shard_outage_rate))
-        if not n:
-            continue
-        starts = np.sort(rng.uniform(horizon[0], horizon[1], size=n))
-        outages[shard_id] = [
-            (float(s), float(s) + policy.shard_outage_duration) for s in starts
-        ]
-        chaos.shard_outage_windows += n
+    rate, duration = policy.shard_outage_rate, policy.shard_outage_duration
+    outages = _sample_windows(
+        policy, _STREAM_SHARD_OUTAGE, range(num_shards), rate, duration, horizon
+    )
+    chaos.shard_outage_windows += sum(len(w) for w in outages.values())
     return outages
 

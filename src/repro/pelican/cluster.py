@@ -84,23 +84,6 @@ from repro.pelican.storage import BlobStore, MemoryBlobStore
 from repro.pelican.system import OnboardedUser, Pelican, PelicanConfig
 
 
-def split_schedule(
-    schedule: FleetSchedule, placement: PlacementPolicy
-) -> Dict[int, FleetSchedule]:
-    """Route a schedule across shards, preserving per-user serial order.
-
-    Every event keeps its original ``(time, seq)``, and all of one user's
-    events land on one shard (placement is per-user), so each per-shard
-    schedule replays its users' events in exactly the order the global
-    schedule would have.  Shards with no events are absent from the map.
-    """
-    shards: Dict[int, FleetSchedule] = {}
-    for event in schedule.ordered():
-        shard_id = placement.shard_for(event.user_id)
-        shards.setdefault(shard_id, FleetSchedule()).add(event)
-    return shards
-
-
 class Cluster:
     """A sharded Pelican cloud: N fleets, one placement layer, one clock.
 

@@ -9,12 +9,15 @@ The grouping and the dispatch kernels live here so the single-cloud
 :class:`~repro.pelican.fleet.Fleet`, the N-shard
 :class:`~repro.pelican.cluster.Cluster`, and the cluster's failover path
 all serve through the identical code — which is what makes their answers
-bit-comparable.
+bit-comparable.  Nothing here bills: every helper only computes, and
+:meth:`Fleet._serve_group <repro.pelican.fleet.Fleet._serve_group>`
+books what it returns.
 
 Two request species flow through the same grouping:
 
 * **prediction requests** — ordinary top-k queries, answered by
-  :func:`dispatch_model_batch`;
+  :func:`dispatch_tick` (or :func:`dispatch_model_batch` for a
+  reference-backend model);
 * **probe batches** — bulk black-box confidence queries
   (:class:`ProbePayload`), the privacy-audit adversary's traffic
   (DESIGN.md §10), answered by :func:`dispatch_probe_batch`.  The group
@@ -35,7 +38,7 @@ from repro.models.predictor import NextLocationPredictor, check_location_domain
 from repro.nn.functional import log_softmax_np, top_k_indices
 from repro.nn.fused import grouped_infer_logits
 from repro.nn.profiler import DEFAULT_CYCLES_PER_MAC, flop_counter
-from repro.pelican.clock import QueryRequest, QueryResponse
+from repro.pelican.clock import QueryRequest
 from repro.pelican.cloud import ResourceReport
 from repro.pelican.stacking import StackKey, stack_key
 
@@ -278,68 +281,11 @@ def dispatch_probe_batch(
     attack querying a bare predictor directly).  Like
     :func:`dispatch_model_batch` the model is resolved by the caller —
     registry live copy, failover cold load, or on-device — and the
-    measured compute comes back for per-side attribution.
+    measured compute comes back for per-side attribution;
+    :meth:`Fleet._serve_group <repro.pelican.fleet.Fleet._serve_group>`
+    bills it and mirrors it into the adversary overlay.
     """
     predictor = NextLocationPredictor(model, spec)
     with flop_counter() as counter:
         results = [probe.confidences(predictor) for probe in probes]
     return results, ResourceReport.from_counter(counter)
-
-
-def serve_probe_group(
-    model: NextLocationModel,
-    spec: FeatureSpec,
-    probes: Sequence[ProbePayload],
-    report,
-    endpoint,
-    channel=None,
-    label: str = "query",
-    profile=None,
-) -> Tuple[List[np.ndarray], int]:
-    """Serve one probe group and bill it — the single definition of the
-    probe accounting invariant (DESIGN.md §10).
-
-    Every cost lands in the normal totals of ``report`` (a
-    :class:`~repro.pelican.accounting.FleetReport`) *and* is mirrored
-    field-by-field into its ``adversary_*`` overlay, so
-    ``benign = total − adversary`` holds no matter which serving path
-    ran the group: home-shard cloud serving (default), cluster failover
-    (pass the fallback shard's ``channel`` and ``label``), or a locally
-    deployed model (pass the device ``profile``; compute and seconds are
-    then attributed device-side and no network is charged).  The query
-    exchange always flows through the endpoint's single accounting
-    boundary, so per-endpoint ledgers conserve.  Returns
-    ``(per-payload confidences, total probe count)``.
-    """
-    results, compute = dispatch_probe_batch(model, spec, probes)
-    num_probes = sum(probe.num_probes for probe in probes)
-    if profile is None:
-        report.cloud_compute += compute
-        report.adversary_cloud_compute += compute
-        seconds = endpoint.record_query_exchange(
-            num_probes, channel=channel, label=label
-        )
-        report.adversary_network_seconds += seconds
-    else:
-        report.device_compute += compute
-        report.adversary_device_compute += compute
-        seconds = profile.simulated_seconds(compute.macs)
-        report.device_simulated_seconds += seconds
-        report.adversary_device_simulated_seconds += seconds
-        endpoint.record_query_exchange(num_probes)
-    report.batches += 1
-    report.queries += num_probes
-    report.adversary_batches += 1
-    report.adversary_queries += num_probes
-    return results, num_probes
-
-
-def probe_response(user_id: int, seq: int, confidences: np.ndarray) -> QueryResponse:
-    """The served answer for one probe payload: confidences, no top-k."""
-    return QueryResponse(
-        user_id=user_id,
-        time=0.0,
-        seq=seq,
-        top_k=(),
-        confidences=tuple(float(c) for c in confidences),
-    )

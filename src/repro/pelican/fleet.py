@@ -6,12 +6,14 @@ time; this module is the production-shaped layer above it that simulates
 thousands of devices against one cloud:
 
 * **Batched multi-user serving** — concurrent query requests are grouped
-  per personal model and every group of a flush is computed by one tick
-  kernel call (:func:`~repro.pelican.dispatch.dispatch_tick`) at that
-  model's own GEMM shapes, so each group's answers are bit-identical to
-  dispatching it alone.  Against the per-query loop, rankings are
-  identical and confidences agree to BLAS round-off; only the cost
-  changes.
+  per personal model; a flush resolves every group, computes every
+  group (neural prediction groups in one tick kernel call,
+  :func:`~repro.pelican.dispatch.dispatch_tick`, at each model's own
+  GEMM shapes), then bills every group, prediction or audit probe, in
+  one place (:meth:`Fleet._serve_group`).  Each group's answers are
+  bit-identical to dispatching it alone.  Against the per-query loop,
+  rankings are identical and confidences agree to BLAS round-off; only
+  the cost changes.
 * **Cloud model registry** — cloud-deployed personal models live in a
   capacity-bounded :class:`~repro.pelican.registry.ModelRegistry` with
   LRU eviction and serialization-backed cold loads, modeling a cloud that
@@ -64,10 +66,9 @@ from repro.pelican.dispatch import (
     ProbePayload,
     dispatch_model_batch,
     dispatch_prior_batch,
+    dispatch_probe_batch,
     dispatch_tick,
     group_requests,
-    probe_response,
-    serve_probe_group,
 )
 from repro.pelican.registry import ModelRegistry
 from repro.pelican.resilience import ResiliencePolicy, ResilienceStats
@@ -93,6 +94,11 @@ __all__ = [
 #: degraded tier)``.  A ``None`` model sheds the group; a tier other than
 #: ``None`` flags its answers as degraded (DESIGN.md §11).
 Resolver = Callable[[int, OnboardedUser], Tuple[Any, Optional[str]]]
+
+#: One group's answers after the compute phase: ``(results, compute)`` —
+#: top-k lists or per-payload probe confidences, and the compute to book
+#: (``None`` for the ``prior`` tier, which runs no GEMMs).
+Computed = Tuple[List[Any], Optional[ResourceReport]]
 
 
 class _Group(NamedTuple):
@@ -308,9 +314,9 @@ class Fleet:
 
         Audit probe batches (:class:`~repro.pelican.dispatch.ProbePayload`,
         DESIGN.md §10) ride the same path in their own groups: same
-        registry resolution, same accounting boundaries, but answered
-        with per-probe confidences and additionally mirrored into the
-        report's adversary attribution overlay.
+        registry resolution, same billing (:meth:`_serve_group`), but
+        answered with per-probe confidences and additionally mirrored
+        into the report's adversary attribution overlay.
         """
         responses = self._serve_groups(requests, self._resolve)
         return [r for r in responses if r is not None]
@@ -340,12 +346,11 @@ class Fleet:
            registry on cluster failover, or the degradation ladder
            (DESIGN.md §9, §11) — so registry ``get`` order, LRU order and
            a flaky registry's draws are those of a group-by-group loop.
-        2. **Compute** every neural prediction group, local and cloud, in
-           :meth:`_compute_groups` (one grouped kernel per shape bucket,
-           DESIGN.md §7).
-        3. **Bill** in arrival order through :meth:`_serve_group` on this
-           fleet's report, which also answers what phase 2 left (probes,
-           the ``prior`` tier, reference-backend models).
+        2. **Compute** every resolved group, of every kind, in
+           :meth:`_compute_groups`.  Compute touches no book, channel or
+           shared random stream, so it may run before any group is billed.
+        3. **Bill** in arrival order through :meth:`_serve_group`, the one
+           billing definition for prediction and probe groups alike.
 
         ``users`` holds the endpoints that pay the query exchanges (the
         home shard's, on failover).  A rerouted ``path`` (``"failover"``,
@@ -360,25 +365,13 @@ class Fleet:
             user = users[user_id]
             model, tier = resolve(user_id, user)
             groups.append(_Group(user, model, tier, k, is_probe, indices))
-        served = self._compute_groups(requests, groups)
+        computed = self._compute_groups(requests, groups)
         responses: List[Optional[QueryResponse]] = [None] * len(requests)
-        for (user, model, tier, k, is_probe, indices), result in zip(groups, served):
-            if model is None:
-                self.resilience_stats.shed_queries += len(indices)
-                continue
-            self._serve_group(
-                requests,
-                indices,
-                responses,
-                user,
-                model,
-                k,
-                is_probe,
-                tier=tier,
-                served=result,
-                channel=channel,
-                path=path,
-            )
+        for group, served in zip(groups, computed):
+            if group.model is None:
+                self.resilience_stats.shed_queries += len(group.indices)
+            else:
+                self._serve_group(requests, group, served, responses, channel, path)
         self._sync_network()
         return responses
 
@@ -386,105 +379,118 @@ class Fleet:
         self,
         requests: Sequence[QueryRequest],
         groups: Sequence[_Group],
-    ) -> List[Optional[Tuple[List, ResourceReport]]]:
-        """Answers for every resolved prediction group a tick kernel can
-        serve, aligned with ``groups``; ``None`` for the rest.
+    ) -> List[Optional[Computed]]:
+        """Every group's :data:`Computed` answers, aligned with ``groups``;
+        ``None`` for a shed group (``None`` model).
 
-        Every neural prediction group goes through one
-        :func:`~repro.pelican.dispatch.dispatch_tick` call.
+        Neural prediction groups go through one
+        :func:`~repro.pelican.dispatch.dispatch_tick` call and the
+        reference-backend models it leaves through
+        :func:`~repro.pelican.dispatch.dispatch_model_batch`; probe groups
+        through :func:`~repro.pelican.dispatch.dispatch_probe_batch`; the
+        ladder's ``prior`` tier through
+        :func:`~repro.pelican.dispatch.dispatch_prior_batch`, a table
+        lookup with ``None`` compute.  Each helper builds fresh predictors
+        and release defenses are seeded per probe, so no answer depends
+        on what was billed before it.
         """
-        served: List[Optional[Tuple[List, ResourceReport]]] = [None] * len(groups)
-        pending = [
-            pos
-            for pos, group in enumerate(groups)
-            if group.model is not None and not group.is_probe and group.tier != "prior"
-        ]
-        tick_groups = [
-            (group.model, [requests[i].history for i in group.indices], group.k)
-            for group in (groups[pos] for pos in pending)
-        ]
-        for pos, result in zip(pending, dispatch_tick(self.pelican.spec, tick_groups)):
-            served[pos] = result
-        return served
+        spec = self.pelican.spec
+        computed: List[Optional[Computed]] = [None] * len(groups)
+        pending: List[int] = []
+        tick_groups = []
+        for pos, (_, model, tier, k, is_probe, indices) in enumerate(groups):
+            if model is None:
+                continue
+            histories = [requests[i].history for i in indices]
+            if is_probe:
+                computed[pos] = dispatch_probe_batch(model, spec, histories)
+            elif tier == "prior":
+                computed[pos] = dispatch_prior_batch(model, histories, k), None
+            else:
+                pending.append(pos)
+                tick_groups.append((model, histories, k))
+        ticked = dispatch_tick(spec, tick_groups)
+        for pos, (model, histories, k), result in zip(pending, tick_groups, ticked):
+            if result is None:
+                result = dispatch_model_batch(model, spec, histories, k)
+            computed[pos] = result
+        return computed
 
     def _serve_group(
         self,
         requests: Sequence[QueryRequest],
-        indices: List[int],
+        group: _Group,
+        served: Computed,
         responses: List[Optional[QueryResponse]],
-        user: OnboardedUser,
-        model: Any,
-        k: int,
-        is_probe: bool,
-        tier: Optional[str] = None,
-        served: Optional[Tuple[List, ResourceReport]] = None,
         channel: Optional[Channel] = None,
         path: Optional[str] = None,
     ) -> None:
-        """Answer one group with ``model`` and bill it, filling its
-        response slots.
+        """Bill one computed group and fill its response slots — the one
+        billing definition for every group kind.
 
-        Compute runs on the device for a local deployment (``model`` is
-        the device's own, and its predictor's query count is bumped as
-        its ``top_k_batch`` would) and on this fleet's cloud otherwise;
-        ``served`` carries the results and booked compute
-        :meth:`_compute_groups` already produced, a group without them is
-        dispatched per model, and the ladder's ``prior`` tier answers
-        from a Markov table with no compute to book.  The query exchange
-        always goes through the endpoint's single accounting boundary.  A degraded ``tier`` flags the
-        answers and is counted in the resilience book.  Probe groups
-        bill through :func:`~repro.pelican.dispatch.serve_probe_group`.
+        Compute runs on the device for a local deployment and on this
+        fleet's cloud otherwise; ``None`` compute (the ``prior`` tier)
+        books nothing.  The query exchange always goes through the
+        endpoint's single accounting boundary, one exchange per query or
+        per probe.  A degraded ``tier`` flags a prediction group's answers
+        and is counted in the resilience book.
+
+        A probe group (DESIGN.md §10) lands in the normal books like any
+        other and every cost is mirrored into the report's ``adversary_*``
+        overlay, so ``benign = total − adversary`` holds on every serving
+        path; its answers carry per-probe confidences and no top-k.
         """
-        histories = [requests[i].history for i in indices]
-        user_id = user.user_id
-        device = user.endpoint.mode != DeploymentMode.CLOUD
-        profile = self._profiles.get(user_id, self.device_profile) if device else None
+        user, _, tier, _, is_probe, indices = group
+        results, compute = served
+        report = self.report
+        endpoint = user.endpoint
         if is_probe:
-            results, _ = serve_probe_group(
-                model,
-                self.pelican.spec,
-                histories,
-                self.report,
-                user.endpoint,
-                channel=channel,
-                label="query" if path is None else f"{path}-probe",
-                profile=profile,
-            )
-            for i, confidences in zip(indices, results):
-                responses[i] = probe_response(user_id, i, confidences)
-            return
-        compute: Optional[ResourceReport] = None
-        if served is not None:
-            results, compute = served
-        elif tier == "prior":
-            results = dispatch_prior_batch(model, histories, k)
+            count = sum(requests[i].history.num_probes for i in indices)
         else:
-            results, compute = dispatch_model_batch(
-                model, self.pelican.spec, histories, k
-            )
-        if device:
-            user.endpoint.predictor.query_count += len(indices)
-            self.report.device_compute += compute
-            self.report.device_simulated_seconds += profile.simulated_seconds(
-                compute.macs
-            )
-            user.endpoint.record_query_exchange(len(indices))
+            count = len(indices)
+        if endpoint.mode != DeploymentMode.CLOUD:
+            profile = self._profiles.get(user.user_id, self.device_profile)
+            seconds = profile.simulated_seconds(compute.macs)
+            report.device_compute += compute
+            report.device_simulated_seconds += seconds
+            if is_probe:
+                report.adversary_device_compute += compute
+                report.adversary_device_simulated_seconds += seconds
+            else:
+                endpoint.predictor.query_count += count
+            endpoint.record_query_exchange(count)
         else:
             if compute is not None:
-                self.report.cloud_compute += compute
-            user.endpoint.record_query_exchange(
-                len(indices),
+                report.cloud_compute += compute
+            kind = "probe" if is_probe else "query"
+            seconds = endpoint.record_query_exchange(
+                count,
                 channel=channel,
-                label="query" if path is None else f"{path}-query",
+                label="query" if path is None else f"{path}-{kind}",
             )
-        self.report.batches += 1
-        self.report.queries += len(indices)
+            if is_probe:
+                report.adversary_cloud_compute += compute
+                report.adversary_network_seconds += seconds
+        report.batches += 1
+        report.queries += count
+        if is_probe:
+            report.adversary_batches += 1
+            report.adversary_queries += count
+            for i, confidences in zip(indices, results):
+                responses[i] = QueryResponse(
+                    user_id=user.user_id,
+                    time=0.0,
+                    seq=i,
+                    top_k=(),
+                    confidences=tuple(float(c) for c in confidences),
+                )
+            return
         if tier is not None:
-            self.resilience_stats.count_degraded(tier, len(indices))
-            self.resilience_stats.full_outage_queries += len(indices)
+            self.resilience_stats.count_degraded(tier, count)
+            self.resilience_stats.full_outage_queries += count
         for i, top in zip(indices, results):
             responses[i] = QueryResponse(
-                user_id=user_id, time=0.0, seq=i, top_k=tuple(top), degraded=tier
+                user_id=user.user_id, time=0.0, seq=i, top_k=tuple(top), degraded=tier
             )
 
     def serve_looped(self, requests: Sequence[QueryRequest]) -> List[QueryResponse]:

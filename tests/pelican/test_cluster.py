@@ -42,7 +42,6 @@ from repro.pelican import (
     RegistryStats,
     ResourceReport,
     chaos_policy,
-    split_schedule,
     totals_signature,
 )
 
@@ -338,31 +337,6 @@ class TestMultiShardParity:
 
 
 class TestRouting:
-    def test_split_schedule_preserves_per_user_serial_order(self, trained):
-        corpus, pelican, splits = trained
-        schedule = _schedule(corpus, splits)
-        placement = HashPlacement(seed=5, num_shards=3)
-        per_shard = split_schedule(schedule, placement)
-        # Union of events is the original schedule, nothing lost or duped.
-        merged = sorted(
-            (e for shard in per_shard.values() for e in shard.ordered()),
-            key=lambda e: (e.time, e.seq),
-        )
-        assert merged == schedule.ordered()
-        for shard_id, shard_schedule in per_shard.items():
-            for event in shard_schedule.ordered():
-                assert placement.shard_for(event.user_id) == shard_id
-        # Per-user sequences replay in the original order on their shard.
-        original = {}
-        for event in schedule.ordered():
-            original.setdefault(event.user_id, []).append(event.seq)
-        for shard_schedule in per_shard.values():
-            routed = {}
-            for event in shard_schedule.ordered():
-                routed.setdefault(event.user_id, []).append(event.seq)
-            for uid, seqs in routed.items():
-                assert seqs == original[uid]
-
     def test_lifecycle_events_route_to_home_shard(self, trained):
         corpus, pelican, splits = trained
         cluster = Cluster.from_trained(

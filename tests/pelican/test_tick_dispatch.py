@@ -9,8 +9,9 @@ answers must be *bit-identical* to serving each group alone — no
 tolerance anywhere in this file.  Random flushes mix local and cloud
 users, batch sizes 1..5, two window lengths, privacy temperatures of 1.0
 and otherwise, float32 and float64 models, plain and TL-FE shapes
-(separate buckets), a reference-backend model, and the degradation
-ladder's ``prior`` and ``general`` tiers.
+(separate buckets), a reference-backend model, the degradation
+ladder's ``prior`` and ``general`` tiers, and audit probe groups on local
+and cloud users, billed with the adversary overlay (DESIGN.md §10).
 """
 
 import copy
@@ -28,7 +29,7 @@ from repro.pelican import DeploymentMode, Fleet, Pelican
 from repro.pelican.clock import QueryRequest
 from repro.pelican.cloud import ResourceReport
 from repro.pelican.deployment import ServiceEndpoint
-from repro.pelican.dispatch import dispatch_model_batch, dispatch_tick
+from repro.pelican.dispatch import ProbePayload, dispatch_model_batch, dispatch_tick
 from repro.pelican.system import OnboardedUser
 
 SPEC = FeatureSpec(num_locations=7)
@@ -171,6 +172,25 @@ class _Prior:
         return scores / scores.sum()
 
 
+class _Probes(ProbePayload):
+    """A stand-in probe payload: ``n`` copies of one window, each observed
+    at one location."""
+
+    def __init__(self, window, n, observed):
+        self.window, self.n, self.observed = window, n, observed
+
+    @property
+    def num_probes(self):
+        return self.n
+
+    def __len__(self):
+        return len(self.window)
+
+    def confidences(self, predictor):
+        batch = predictor.encode_histories([self.window] * self.n)
+        return predictor.confidences_encoded(batch)[:, self.observed]
+
+
 NUM_USERS = 8
 
 
@@ -197,11 +217,18 @@ def _fleet():
     return fleet
 
 
+def _choices(seed):
+    """Each user's resolver pick: an index into :data:`POOL`, or
+    ``len(POOL)`` for the prior tier, ``len(POOL) + 1`` for the general
+    tier (cloud users only)."""
+    rng = np.random.default_rng(seed)
+    return {uid: int(rng.integers(0, len(POOL) + 2)) for uid in range(NUM_USERS)}
+
+
 def _resolver(seed):
     """Cloud users resolve to a random pool model, the general tier, or
     the prior tier; local users to their device model."""
-    rng = np.random.default_rng(seed)
-    choice = {uid: int(rng.integers(0, len(POOL) + 2)) for uid in range(NUM_USERS)}
+    choice = _choices(seed)
 
     def resolve(user_id, user):
         if user.endpoint.mode != DeploymentMode.CLOUD:
@@ -216,9 +243,11 @@ def _resolver(seed):
     return resolve
 
 
-def _flush(seed):
-    """Requests in random arrival order, each group 1..5 queries."""
-    rng = np.random.default_rng((seed, 1))
+def _flush(seed, flush):
+    """Requests in random arrival order, each group 1..5 queries, plus
+    1..3 probe groups of 1..3 payloads on users that resolve to a neural
+    model (the cluster never sends probes down the prior tier)."""
+    rng = np.random.default_rng(((seed, flush), 1))
     requests = []
     for _ in range(int(rng.integers(1, 16))):
         uid = int(rng.integers(0, NUM_USERS))
@@ -226,20 +255,33 @@ def _flush(seed):
         k = int(rng.integers(1, SPEC.num_locations + 2))
         for _ in range(int(rng.integers(1, 6))):
             requests.append(QueryRequest(uid, _history(rng, steps), k))
+    probed = [uid for uid, pick in _choices(seed).items() if uid % 2 == 0 or pick != len(POOL)]
+    probe_rng = np.random.default_rng(((seed, flush), 2))
+    for _ in range(int(probe_rng.integers(1, 4))):
+        uid = int(probe_rng.choice(probed))
+        window = _history(probe_rng, int(probe_rng.choice(WINDOW_LENGTHS)))
+        for _ in range(int(probe_rng.integers(1, 4))):
+            n, observed = probe_rng.integers(1, 5), probe_rng.integers(0, SPEC.num_locations)
+            requests.append(QueryRequest(uid, _Probes(window, int(n), int(observed)), 0))
     order = rng.permutation(len(requests))
     return [requests[i] for i in order]
 
 
-def _serve(fleet, seed, per_group):
+def _serve(fleet, seed, per_group, probes=True):
     """Serve three flushes; ``per_group`` disables the tick kernel so
-    every group takes the per-model path."""
+    every group takes the per-model path, and ``probes=False`` drops the
+    flushes' probe requests."""
     responses = []
     with pytest.MonkeyPatch.context() as patch:
         if per_group:
             patch.setattr(fleet_module, "dispatch_tick", lambda spec, groups: [None] * len(groups))
         with flop_counter() as counter:
             for flush in range(3):
-                responses.append(fleet._serve_groups(_flush((seed, flush)), _resolver(seed)))
+                requests = [
+                    r for r in _flush(seed, flush)
+                    if probes or not isinstance(r.history, ProbePayload)
+                ]
+                responses.append(fleet._serve_groups(requests, _resolver(seed)))
     return responses, counter.macs
 
 
@@ -258,6 +300,24 @@ def test_fleet_flushes_match_per_group_serving_exactly(seed):
         assert ours.predictor.query_count == theirs.predictor.query_count
         assert ours.stats.queries == theirs.stats.queries
     assert tick.pelican.channel.checkpoint() == grouped.pelican.channel.checkpoint()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_probe_groups_bill_benign_as_total_minus_adversary(seed):
+    """Probe groups land in the normal books and in the adversary overlay,
+    so the same flushes served without their probes book exactly the
+    difference."""
+    probed, benign = _fleet(), _fleet()
+    _serve(probed, seed, per_group=False)
+    _serve(benign, seed, per_group=False, probes=False)
+
+    ours, theirs = probed.report, benign.report
+    assert ours.adversary_queries > 0
+    assert ours.queries - ours.adversary_queries == theirs.queries
+    assert ours.batches - ours.adversary_batches == theirs.batches
+    assert ours.cloud_compute.macs - ours.adversary_cloud_compute.macs == theirs.cloud_compute.macs
+    assert ours.device_compute.macs - ours.adversary_device_compute.macs == theirs.device_compute.macs
+    assert ours.adversary_cloud_compute.macs > 0 or ours.adversary_device_compute.macs > 0
 
 
 def test_fleet_rejects_domain_mismatched_model():
