@@ -96,7 +96,7 @@ class SequenceDataset:
         if not self.windows:
             width = self.spec.width
             return np.zeros((0, HISTORY_LENGTH, width)), np.zeros((0,), dtype=np.int64)
-        X = np.stack([self.spec.encode_sequence(w.history) for w in self.windows])
+        X = self.spec.encode_windows([w.history for w in self.windows])
         y = np.array([w.target for w in self.windows], dtype=np.int64)
         return X, y
 

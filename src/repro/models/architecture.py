@@ -15,7 +15,7 @@ layer (identity until Pelican configures it, §V-B).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from repro.nn import (
     Tensor,
     as_tensor,
     dtype_policy,
+    fused,
+    get_default_dtype,
     log_softmax_np,
     lstm_infer_last,
     no_grad,
@@ -116,6 +118,28 @@ class NextLocationModel(Module):
             [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in cells],
             self.head.weight.data,
             self.head.bias.data,
+        )
+
+    def train_step(
+        self, inputs: np.ndarray, targets: np.ndarray
+    ) -> Callable[[np.ndarray], float]:
+        """The graph-free fused training step (DESIGN.md §3), or the
+        autograd step on the reference backend and when the weights do not
+        carry the policy dtype (the graph would cast every op to it)."""
+        stacks = [self.lstm] + ([self.extra] if self.extra is not None else [])
+        dtype = get_default_dtype()
+        if any(s.backend != "fused" for s in stacks) or any(
+            p.data.dtype != dtype for p in self.parameters()
+        ):
+            return super().train_step(inputs, targets)
+        layers, dropouts = [], []
+        for stack in stacks:
+            p = stack.dropout_p if stack.training else 0.0
+            for i, cell in enumerate(stack.cells):
+                layers.append((cell.weight_ih, cell.weight_hh, cell.bias))
+                dropouts.append((p if i < stack.num_layers - 1 else 0.0, stack._rng))
+        return fused.train_step(
+            inputs, targets, layers, dropouts, (self.head.weight, self.head.bias)
         )
 
     def infer_logits(self, batch: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ which is used twice in the reproduction:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,20 +36,36 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(
             f"targets shape {targets.shape} incompatible with batch {logits.shape[0]}"
         )
-    z = logits.data
+    loss, log_probs = cross_entropy_np(logits.data, targets)
+
+    def backward(grad: np.ndarray):
+        return (cross_entropy_grad_np(log_probs, targets, grad),)
+
+    return Tensor._make(loss, (logits,), backward)
+
+
+def cross_entropy_np(z: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy of ``(batch, classes)`` logits ``z`` against
+    int64 ``targets``: the 0-d loss in ``z``'s dtype and the log-probs
+    its gradient reads.  The one numpy definition both the autograd node
+    and the graph-free training step (DESIGN.md §3) run."""
     batch = z.shape[0]
     shifted = z - z.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     picked = log_probs[np.arange(batch), targets]
-    loss = np.asarray(-picked.mean(), dtype=z.dtype)
+    return np.asarray(-picked.mean(), dtype=z.dtype), log_probs
 
-    def backward(grad: np.ndarray):
-        g = np.exp(log_probs)
-        g[np.arange(batch), targets] -= 1.0
-        g *= grad / batch
-        return (g,)
 
-    return Tensor._make(loss, (logits,), backward)
+def cross_entropy_grad_np(
+    log_probs: np.ndarray, targets: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """Closed-form gradient ``(softmax - one_hot) * grad / batch`` of
+    :func:`cross_entropy_np`; ``grad`` is the 0-d upstream gradient."""
+    batch = log_probs.shape[0]
+    g = np.exp(log_probs)
+    g[np.arange(batch), targets] -= 1.0
+    g *= grad / batch
+    return g
 
 
 def softmax(x: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:

@@ -24,6 +24,9 @@ per LSTM call:
 * :func:`lstm_infer` / :func:`lstm_infer_last` are graph-free inference
   kernels for black-box attack queries and evaluation: no caches, no
   autograd node, just numpy.
+* :func:`train_step` is the graph-free training step of an LSTM stack
+  plus linear head: the forward, the closed-form loss gradient and
+  :func:`lstm_backward`, bit-identical to the autograd step.
 
 Internally everything runs **time-major** (``(seq, batch, ·)``): per-step
 slices are then contiguous, which keeps every ufunc and GEMM on its fast
@@ -38,22 +41,27 @@ and stops BPTT entirely below the lowest layer with a consumer.  The
 ``h_prev @ W_hh`` GEMM is likewise skipped at ``t == 0`` when the initial
 state is an implicit zero.
 
-Every GEMM actually performed is reported to :mod:`repro.nn.profiler` via
+Every GEMM a step performs is reported to :mod:`repro.nn.profiler` via
 :func:`~repro.nn.profiler.record_gemm`, so the §V-C2 overhead accounting
-reflects executed work.  On a workload where nothing is skippable (inputs,
-states, and all weights require gradients) the fused and reference paths
-report *identical* MAC totals — asserted by ``tests/nn/test_fused_lstm.py``.
+reflects executed work.  The one memo kept across steps — the frozen
+layer 0 of :func:`train_step` — books nothing when built, and each step
+books the GEMMs of the per-step forward it replaces, because the modelled
+device cost is per step (DESIGN.md §6).  On a workload where nothing is
+skippable (inputs, states, and all weights require gradients) the fused
+and reference paths report *identical* MAC totals — asserted by
+``tests/nn/test_fused_lstm.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn import profiler
-from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
+from repro.nn.functional import cross_entropy_grad_np, cross_entropy_np
+from repro.nn.tensor import Tensor, as_tensor, get_default_dtype, is_grad_enabled
 
 # One layer's parameters: (weight_ih, weight_hh, bias) with shapes
 # (in, 4H), (H, 4H), (4H,) in PyTorch gate order [input|forget|cell|output].
@@ -317,6 +325,18 @@ def lstm_backward(
     return dx, weight_grads, state_grads
 
 
+def _dropout_mask(rng: Optional[np.random.Generator], p: float, hs: np.ndarray) -> np.ndarray:
+    """Inverted-dropout mask for a time-major ``(T, B, H)`` layer output,
+    drawn per timestep in sequence order (the reference path's order)."""
+    if rng is None:
+        raise ValueError("dropout requires a random generator")
+    keep = 1.0 - p
+    mask = np.empty_like(hs)
+    for t in range(hs.shape[0]):
+        mask[t] = (rng.random(hs.shape[1:]) < keep) / keep
+    return mask
+
+
 def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t._backward is not None
 
@@ -354,7 +374,7 @@ def lstm_forward(
     data = x_t.data
     if data.ndim != 3:
         raise ValueError(f"LSTM expects (batch, seq, features); got shape {data.shape}")
-    B, T, _ = data.shape
+    B = data.shape[0]
     state_zero = state is None
 
     # Mirror Tensor._make's graph condition: when no node will be recorded
@@ -382,13 +402,7 @@ def lstm_forward(
         )
         mask = None
         if training and dropout_p > 0.0 and idx < len(layers) - 1:
-            if rng is None:
-                raise ValueError("dropout requires a random generator")
-            keep = 1.0 - dropout_p
-            H = hs.shape[2]
-            mask = np.empty_like(hs)
-            for t in range(T):
-                mask[t] = (rng.random((B, H)) < keep) / keep
+            mask = _dropout_mask(rng, dropout_p, hs)
             layer_in = hs * mask
         else:
             layer_in = hs
@@ -422,6 +436,115 @@ def lstm_forward(
         return tuple(flat)
 
     return Tensor._make(out, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# Graph-free training step (DESIGN.md §3)
+# ----------------------------------------------------------------------
+def _book_layer_forward(T: int, B: int, F: int, H: int) -> None:
+    """Book the GEMMs :func:`_layer_forward` issues for a ``(T, B, F)``
+    input from the implicit zero state, without running them."""
+    profiler.record_gemm(T * B, F, 4 * H)
+    for _ in range(1, T):
+        profiler.record_gemm(B, H, 4 * H)
+
+
+def train_step(
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    layers: Sequence[LayerParams],
+    dropouts: Sequence[Tuple[float, Optional[np.random.Generator]]],
+    head: Tuple[Tensor, Tensor],
+) -> Callable[[np.ndarray], float]:
+    """The training step of an LSTM stack plus linear head, without autograd.
+
+    ``inputs`` is ``(rows, seq, features)`` and ``targets`` the rows'
+    classes; ``layers`` is the stack bottom first, ``dropouts[l]`` the
+    ``(p, rng)`` of the mask on layer ``l``'s output (``p == 0``: none),
+    and ``head`` the ``(weight, bias)`` of ``logits = h_T @ W + b``.
+    Returns ``step(idx)``, which sets the mean cross-entropy gradient of
+    rows ``idx`` on every parameter that requires one and returns the
+    loss.  Per step it is the autograd path's arithmetic op for op —
+    :func:`lstm_forward`'s layers and mask draws, the head,
+    :func:`~repro.nn.functional.cross_entropy_np` and its closed-form
+    gradient, the last-step scatter, :func:`lstm_backward` — so weights
+    and losses are bit-identical, and MACs are booked as that path books
+    them.  Layers below the lowest trainable one keep no caches.
+
+    A frozen layer 0 reads the raw, undropped input, so it runs once over
+    all rows here and each step gathers its rows: a ≥2-row GEMM's rows
+    equal the full GEMM's rows bit for bit.  A 1-row step computes its own
+    layer 0 (a 1-row product takes the gemv path).
+    """
+    dtype = get_default_dtype()
+    data = np.asarray(inputs, dtype=dtype)
+    if data.ndim != 3:
+        raise ValueError(f"LSTM expects (batch, seq, features); got shape {data.shape}")
+    X = np.ascontiguousarray(data.transpose(1, 0, 2))
+    y = np.asarray(targets, dtype=np.int64)
+    T, N, F = X.shape
+    need_w = [any(p.requires_grad for p in triple) for triple in layers]
+    lowest = need_w.index(True) if any(need_w) else len(layers)
+    layer0 = None
+    if lowest > 0 and N >= 2:
+        w_ih, w_hh, bias = (p.data for p in layers[0])
+        zeros = np.zeros((N, w_hh.shape[0]), dtype=dtype)
+        with profiler.paused():
+            layer0, _ = _layer_forward(X, w_ih, w_hh, bias, zeros, zeros, True, False)
+    head_w, head_b = head
+
+    def step(idx: np.ndarray) -> float:
+        B = len(idx)
+        weights = [tuple(p.data for p in triple) for triple in layers]
+        caches: List[LayerCache] = []
+        layer_in = None
+        for l, (w_ih, w_hh, bias) in enumerate(weights):
+            H = w_hh.shape[0]
+            if l == 0 and layer0 is not None and B >= 2:
+                hs, cache = np.take(layer0, idx, axis=1), None
+                _book_layer_forward(T, B, F, H)
+            else:
+                if layer_in is None:
+                    layer_in = np.take(X, idx, axis=1)
+                zeros = np.zeros((B, H), dtype=dtype)
+                hs, cache = _layer_forward(
+                    layer_in, w_ih, w_hh, bias, zeros, zeros,
+                    state_zero=True, want_cache=l >= lowest,
+                )
+            p, rng = dropouts[l]
+            mask = _dropout_mask(rng, p, hs) if p > 0.0 else None
+            layer_in = hs * mask if mask is not None else hs
+            if cache is not None:
+                cache.mask = mask
+                caches.append(cache)
+
+        last = layer_in[-1]
+        logits = last @ head_w.data
+        profiler.record_matmul(last.shape, head_w.data.shape)
+        logits += head_b.data
+        targets_b = y[idx]
+        loss, log_probs = cross_entropy_np(logits, targets_b)
+        g = cross_entropy_grad_np(log_probs, targets_b, np.ones_like(loss))
+        profiler.record_matmul(g.shape, head_w.data.T.shape)
+        profiler.record_matmul(last.T.shape, g.shape)
+        d_last = g @ head_w.data.T
+        grads = [(head_w, last.T @ g), (head_b, g.sum(axis=0))]
+        if caches:
+            d_out = np.zeros((B, T, d_last.shape[1]), dtype=dtype)
+            d_out[:, T - 1, :] += d_last
+            _, weight_grads, _ = lstm_backward(
+                d_out, caches, [w[:2] for w in weights[lowest:]],
+                need_x=False, need_w=need_w[lowest:],
+            )
+            for triple, wg in zip(layers[lowest:], weight_grads):
+                if wg is not None:
+                    grads.extend(zip(triple, wg))
+        for param, grad in grads:
+            if param.requires_grad:
+                param.grad = grad
+        return float(loss)
+
+    return step
 
 
 def _infer_tm(

@@ -9,10 +9,11 @@ optimizers only update parameters with ``requires_grad=True``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.nn.functional import softmax_cross_entropy
 from repro.nn.tensor import Tensor
 
 
@@ -149,6 +150,28 @@ class Module:
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
             param.data = value.copy()
+
+    # ------------------------------------------------------------------
+    # Training
+    # ------------------------------------------------------------------
+    def train_step(
+        self, inputs: np.ndarray, targets: np.ndarray
+    ) -> Callable[[np.ndarray], float]:
+        """The minibatch body :func:`~repro.nn.train.fit` runs over
+        ``(inputs, targets)``: ``step(idx)`` sets the mean cross-entropy
+        gradient of rows ``idx`` on the parameters and returns the loss.
+
+        This is the autograd step, the specification that faster bodies
+        (the fused backend's graph-free step, DESIGN.md §3) are tested
+        against with ``==``.
+        """
+
+        def step(idx: np.ndarray) -> float:
+            loss = softmax_cross_entropy(self(Tensor(inputs[idx])), targets[idx])
+            loss.backward()
+            return loss.item()
+
+        return step
 
     # ------------------------------------------------------------------
     # Call protocol

@@ -118,3 +118,20 @@ def flop_counter() -> Iterator[FlopCounter]:
     finally:
         counter.stop()
         _ACTIVE_COUNTERS.remove(counter)
+
+
+@contextmanager
+def paused() -> Iterator[None]:
+    """Book nothing inside the body.
+
+    For a memo kept across training steps (the frozen layer 0 of
+    :func:`repro.nn.fused.train_step`): building it books nothing, and
+    each step books the GEMMs of the per-step forward it replaces, since
+    the modelled device cost is per step (DESIGN.md §6).
+    """
+    saved = _ACTIVE_COUNTERS[:]
+    _ACTIVE_COUNTERS.clear()
+    try:
+        yield
+    finally:
+        _ACTIVE_COUNTERS[:] = saved

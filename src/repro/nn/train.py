@@ -15,10 +15,19 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
+
+
+def minibatch_indices(
+    n: int, batch_size: int, rng: Optional[np.random.Generator] = None
+) -> Iterator[np.ndarray]:
+    """Yield the row indices of each mini-batch; shuffled when a generator
+    is supplied (one permutation draw per pass)."""
+    order = np.arange(n) if rng is None else rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start : start + batch_size]
 
 
 def iterate_minibatches(
@@ -28,10 +37,7 @@ def iterate_minibatches(
     rng: Optional[np.random.Generator] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield (x, y) mini-batches; shuffled when a generator is supplied."""
-    n = len(inputs)
-    order = np.arange(n) if rng is None else rng.permutation(n)
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
+    for idx in minibatch_indices(len(inputs), batch_size, rng):
         yield inputs[idx], targets[idx]
 
 
@@ -62,6 +68,10 @@ def fit(
 ) -> FitResult:
     """Train ``model`` with cross-entropy on ``(inputs, targets)``.
 
+    The loop owns epochs, shuffling, early stopping and the loss history;
+    the model supplies the minibatch body (:meth:`Module.train_step`).
+    No parameter keeps a ``.grad`` once this returns.
+
     Parameters
     ----------
     patience:
@@ -70,24 +80,21 @@ def fit(
     """
     if len(inputs) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    loss_fn = CrossEntropyLoss()
     if optimizer is None:
         trainable = model.trainable_parameters()
         optimizer = Adam(trainable, lr=lr, weight_decay=weight_decay)
     model.train()
+    step = model.train_step(inputs, targets)
     result = FitResult(epochs_run=0)
     stale = 0
     for epoch in range(epochs):
         epoch_losses = []
-        for batch_x, batch_y in iterate_minibatches(inputs, targets, batch_size, rng):
+        for idx in minibatch_indices(len(inputs), batch_size, rng):
             optimizer.zero_grad()
-            logits = model(Tensor(batch_x))
-            loss = loss_fn(logits, batch_y)
-            loss.backward()
+            epoch_losses.append(step(idx))
             if grad_clip is not None:
                 clip_grad_norm(optimizer.params, grad_clip)
             optimizer.step()
-            epoch_losses.append(loss.item())
         mean_loss = float(np.mean(epoch_losses))
         result.train_losses.append(mean_loss)
         result.epochs_run = epoch + 1
@@ -100,6 +107,7 @@ def fit(
             if patience is not None and stale >= patience:
                 break
     model.eval()
+    model.zero_grad()
     return result
 
 

@@ -9,8 +9,9 @@ measurements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,9 +53,24 @@ FLAGSHIP_PHONE = DeviceProfile(name="flagship-phone", effective_gmacs_per_second
 CLOUD_SERVER = DeviceProfile(name="cloud-server", effective_gmacs_per_second=64.0)
 
 
-def rebuild_general_model(blob: bytes, rng: np.random.Generator) -> NextLocationModel:
-    """Reconstruct the general model from a published checkpoint."""
+@functools.lru_cache(maxsize=4)
+def _decode_general(blob: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    # A published general checkpoint is immutable and every onboard reads
+    # the same one.  ``load_state_dict`` copies, so the decoded arrays are
+    # shared read-only.
     state, metadata = deserialize_state(blob)
+    for array in state.values():
+        array.setflags(write=False)
+    return state, metadata
+
+
+def rebuild_general_model(blob: bytes, rng: np.random.Generator) -> NextLocationModel:
+    """Reconstruct the general model from a published checkpoint.
+
+    The checkpoint is decoded once per blob; the model is still built from
+    ``rng``, so the initial-weight draws advance it as before.
+    """
+    state, metadata = _decode_general(blob)
     model = NextLocationModel(
         input_width=int(metadata["input_width"]),
         num_locations=int(metadata["num_locations"]),

@@ -86,6 +86,16 @@ class TestEncoding:
         assert X.shape == (0, 2, spec.width)
         assert len(y) == 0
 
+    def test_empty_encode_keeps_int64_targets(self, spec):
+        _, y = SequenceDataset(spec=spec).encode()
+        assert y.dtype == np.int64
+
+    def test_encode_matches_per_window_stack(self, chain, spec):
+        X, _ = chain.encode()
+        stacked = np.stack([spec.encode_sequence(w.history) for w in chain.windows])
+        assert X.dtype == stacked.dtype
+        assert np.array_equal(X, stacked)
+
     def test_one_hot_rows(self, chain, spec):
         X, _ = chain.encode()
         np.testing.assert_allclose(X.sum(axis=-1), np.full((3, 2), 4.0))

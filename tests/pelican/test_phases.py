@@ -7,11 +7,13 @@ import pytest
 from repro.data import SpatialLevel
 from repro.models import (
     GeneralModelConfig,
+    NextLocationModel,
     NextLocationPredictor,
     PersonalizationConfig,
     PersonalizationMethod,
+    personalize,
 )
-from repro.nn import Tensor
+from repro.nn import Tensor, deserialize_state
 from repro.pelican import (
     Channel,
     CloudTrainer,
@@ -60,6 +62,36 @@ class TestCloudPhase:
             cloud.general_model.named_parameters(), rebuilt.named_parameters()
         ):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_rebuild_keeps_onboarding_rng_stream(self, cloud, tiny_corpus):
+        """The decoded checkpoint is memoized, yet the rebuilt model still
+        draws its initial weights, so personalization sees the same stream."""
+        blob = cloud.publish()
+        uid = tiny_corpus.personal_ids[0]
+        train, _ = tiny_corpus.user_dataset(uid, SpatialLevel.BUILDING).split(0.8)
+        config = PersonalizationConfig(epochs=2, patience=None)
+
+        def onboard(build):
+            rng = np.random.default_rng(7)
+            model, _ = personalize(build(rng), train, PersonalizationMethod.TL_FE, config, rng)
+            return model.state_dict(), rng.bit_generator.state
+
+        def decode_every_time(rng):
+            state, meta = deserialize_state(blob)
+            model = NextLocationModel(
+                int(meta["input_width"]), int(meta["num_locations"]),
+                int(meta["hidden_size"]), int(meta["num_layers"]),
+                float(meta["dropout"]), rng,
+            )
+            model.load_state_dict(state)
+            return model.eval()
+
+        expected_state, expected_rng = onboard(decode_every_time)
+        for _ in range(2):  # a cold decode, then a memo hit
+            state, rng_state = onboard(lambda rng: rebuild_general_model(blob, rng))
+            assert rng_state == expected_rng
+            for name, value in expected_state.items():
+                assert np.array_equal(state[name], value)
 
     def test_publish_before_training_rejected(self):
         trainer = CloudTrainer(GeneralModelConfig(epochs=1))
