@@ -30,6 +30,7 @@ from repro.nn import (
     Tensor,
     clip_grad_norm,
     dtype_policy,
+    lstm_infer_last,
     no_grad,
 )
 
@@ -81,9 +82,10 @@ def test_inference_query(benchmark, backend):
     batch = rng.normal(size=(QUERY_BATCH, SEQ, WIDTH))
 
     if backend == "fused":
+        layers = [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in lstm.cells]
 
         def query():
-            last = lstm.forward_np(batch)[:, -1, :]
+            last = lstm_infer_last(batch, layers)
             logits = last @ head.weight.data + head.bias.data
             shifted = logits - logits.max(axis=-1, keepdims=True)
             np.exp(shifted, out=shifted)

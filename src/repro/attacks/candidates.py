@@ -41,7 +41,7 @@ def prune_locations(
     windows = probe_windows.windows[:max_probes]
     if not windows:
         return np.arange(num_locations)
-    X = np.stack([predictor.spec.encode_sequence(w.history) for w in windows])
+    X = predictor.spec.encode_windows([w.history for w in windows])
     probs = predictor.confidences_encoded(X)
     keep = np.where(probs.max(axis=0) >= threshold)[0]
     if keep.size == 0:

@@ -61,7 +61,7 @@ def predicted_prior(
     windows = probe_windows.windows[:max_probes]
     if not windows:
         return uniform_prior(predictor.spec.num_locations)
-    X = np.stack([predictor.spec.encode_sequence(w.history) for w in windows])
+    X = predictor.spec.encode_windows([w.history for w in windows])
     probs = predictor.confidences_encoded(X)
     mean = probs.mean(axis=0)
     return mean / mean.sum()

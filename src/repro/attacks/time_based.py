@@ -29,8 +29,8 @@ import numpy as np
 from repro.attacks.adversary import T_MINUS_1, T_MINUS_2, AttackInstance
 from repro.attacks.base import EnumerationAttack, ProbePlan
 from repro.data.features import (
+    ENTRY_BIN_MINUTES,
     FeatureSpec,
-    discretize_entry,
     duration_bin_to_minute,
     entry_bin_to_minute,
 )
@@ -38,9 +38,10 @@ from repro.data.features import (
 MINUTES_PER_DAY = 24 * 60
 
 
-def _derive_entry_bin(anchor_minute: float, spec: FeatureSpec) -> int:
-    clamped = int(np.clip(anchor_minute, 0, MINUTES_PER_DAY - 1))
-    return discretize_entry(clamped)
+def _derive_entry_bin(anchor_minute):
+    """Entry bin of integer anchor minutes, clamped into the day; takes a
+    scalar or an array of anchors."""
+    return np.clip(anchor_minute, 0, MINUTES_PER_DAY - 1) // ENTRY_BIN_MINUTES
 
 
 class TimeBasedAttack(EnumerationAttack):
@@ -80,7 +81,7 @@ class TimeBasedAttack(EnumerationAttack):
         vs. bin midpoints can disagree by up to one 30-minute bin), so the
         attack hedges with a small window around the derived bin.
         """
-        center = _derive_entry_bin(anchor_minute, spec)
+        center = _derive_entry_bin(anchor_minute)
         lo = max(0, center - self.entry_slack)
         hi = min(spec.entry_bins - 1, center + self.entry_slack)
         return np.arange(lo, hi + 1)
@@ -139,12 +140,7 @@ class TimeBasedAttack(EnumerationAttack):
         # window around each derived bin hedges discretization error.
         anchor = entry_bin_to_minute(known.entry_bin)
         slack = np.arange(-self.entry_slack, self.entry_slack + 1)
-        derived = np.array(
-            [
-                _derive_entry_bin(anchor - duration_bin_to_minute(d), spec)
-                for d in duration_grid
-            ]
-        )
+        derived = _derive_entry_bin(anchor - duration_bin_to_minute(duration_grid))
         entry_grid = np.clip(
             (derived[:, None] + slack[None, :]), 0, spec.entry_bins - 1
         ).ravel()
@@ -175,12 +171,7 @@ class TimeBasedAttack(EnumerationAttack):
         )
         # Continuity chains the derived step-1 entry off the enumerated
         # step-2 candidate: e_{t-1} = e_{t-2} + d_{t-2}.
-        e1 = np.array(
-            [
-                _derive_entry_bin(entry_bin_to_minute(e) + duration_bin_to_minute(d), spec)
-                for e, d in zip(e2, d2)
-            ]
-        )
+        e1 = _derive_entry_bin(entry_bin_to_minute(e2) + duration_bin_to_minute(d2))
         return ProbePlan(
             candidate_features={
                 T_MINUS_2: {"entry": e2, "duration": d2, "location": l2},

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +48,10 @@ class SessionFeatures:
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.entry_bin, self.duration_bin, self.location, self.day_of_week)
+
+
+#: :class:`SessionFeatures` fields in :meth:`~SessionFeatures.as_tuple` order.
+_FIELDS = ("entry_bin", "duration_bin", "location", "day_of_week")
 
 
 def discretize_entry(entry_minute: int) -> int:
@@ -135,12 +140,7 @@ class FeatureSpec:
 
     def encode(self, features: SessionFeatures) -> np.ndarray:
         """One-hot encode a feature tuple into a vector of :attr:`width`."""
-        vec = np.zeros(self.width)
-        vec[self.entry_offset + features.entry_bin] = 1.0
-        vec[self.duration_offset + features.duration_bin] = 1.0
-        vec[self.location_offset + features.location] = 1.0
-        vec[self.day_offset + features.day_of_week] = 1.0
-        return vec
+        return self.encode_windows([[features]])[0, 0]
 
     def decode(self, vector: np.ndarray) -> SessionFeatures:
         """Invert :meth:`encode` (argmax per block, tolerating soft inputs)."""
@@ -162,37 +162,44 @@ class FeatureSpec:
 
     def encode_sequence(self, sessions: Sequence[SessionFeatures]) -> np.ndarray:
         """Encode an ordered window of sessions into ``(len, width)``."""
-        return np.stack([self.encode(s) for s in sessions])
+        return self.encode_windows([sessions])[0]
 
     def encode_windows(
         self, windows: Sequence[Sequence[SessionFeatures]]
     ) -> np.ndarray:
         """Encode many same-length windows into ``(n, len, width)`` at once.
 
-        Vectorized equivalent of stacking :meth:`encode_sequence` per
-        window: the one-hot scatter runs as four fancy-indexed writes
-        over all sessions instead of one numpy allocation per session.
-        The values are bit-identical (0.0/1.0 one-hots either way) — this
-        is the encoding stage of the tick kernel (DESIGN.md §7), where
-        per-session Python would otherwise dominate the tick.
+        The one session encoder: the one-hot scatter runs as one
+        fancy-indexed write over all sessions instead of one numpy
+        allocation per session — this is the encoding stage of the tick
+        kernel (DESIGN.md §7), where per-session Python would otherwise
+        dominate the tick.  A field outside its block raises
+        :class:`ValueError` naming the field and the value; unchecked, it
+        would set a bit of a neighbouring block and encode some other,
+        valid-looking session.
         """
         n = len(windows)
         if n == 0:
             return np.zeros((0, 0, self.width))
         steps = len(windows[0])
         if any(len(w) != steps for w in windows):
-            raise ValueError("windows must share one length to batch-encode")
+            lengths = sorted({len(w) for w in windows})
+            raise ValueError(f"windows must share one window length to batch-encode, got {lengths}")
+        codes = np.fromiter(
+            chain.from_iterable([s.as_tuple() for window in windows for s in window]),
+            dtype=np.intp,
+            count=n * steps * len(_FIELDS),
+        ).reshape(n * steps, len(_FIELDS))
+        sizes = (self.entry_bins, self.duration_bins, self.num_locations, self.days)
+        bad = (codes < 0) | (codes >= sizes)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                f"{_FIELDS[col]} {codes[row, col]} outside its domain [0, {sizes[col]})"
+            )
+        codes += (self.entry_offset, self.duration_offset, self.location_offset, self.day_offset)
         flat = np.zeros((n * steps, self.width))
-        rows = np.arange(n * steps)
-        sessions = [s for window in windows for s in window]
-        entry = np.fromiter((s.entry_bin for s in sessions), dtype=np.intp, count=n * steps)
-        duration = np.fromiter((s.duration_bin for s in sessions), dtype=np.intp, count=n * steps)
-        location = np.fromiter((s.location for s in sessions), dtype=np.intp, count=n * steps)
-        day = np.fromiter((s.day_of_week for s in sessions), dtype=np.intp, count=n * steps)
-        flat[rows, self.entry_offset + entry] = 1.0
-        flat[rows, self.duration_offset + duration] = 1.0
-        flat[rows, self.location_offset + location] = 1.0
-        flat[rows, self.day_offset + day] = 1.0
+        flat[np.arange(n * steps)[:, None], codes] = 1.0
         return flat.reshape(n, steps, self.width)
 
 

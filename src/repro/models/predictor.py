@@ -99,12 +99,7 @@ class NextLocationPredictor:
         All windows must share one length — that is the batching boundary
         the fleet layer groups on (DESIGN.md §7).
         """
-        lengths = {len(h) for h in histories}
-        if len(lengths) > 1:
-            raise ValueError(
-                f"histories must share one window length to batch, got {sorted(lengths)}"
-            )
-        return np.stack([self.spec.encode_sequence(h) for h in histories])
+        return self.spec.encode_windows(histories)
 
     def top_k_batch(
         self, histories: Sequence[Sequence[SessionFeatures]], k: int

@@ -15,7 +15,7 @@ from repro.nn.functional import (
     softmax_np,
     top_k_indices,
 )
-from repro.nn.fused import lstm_backward, lstm_forward, lstm_infer, lstm_infer_last
+from repro.nn.fused import lstm_backward, lstm_forward, lstm_infer_last
 from repro.nn.layers import Dropout, Linear, Sequential, TemperatureScaling
 from repro.nn.losses import CrossEntropyLoss, NLLLoss
 from repro.nn.lstm import LSTM, LSTMCell
@@ -84,7 +84,6 @@ __all__ = [
     "log_softmax_np",
     "lstm_backward",
     "lstm_forward",
-    "lstm_infer",
     "lstm_infer_last",
     "no_grad",
     "one_hot",

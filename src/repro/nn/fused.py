@@ -21,12 +21,18 @@ per LSTM call:
   input sequence** — the gradient-descent inversion attack (paper §III-B)
   differentiates with respect to model inputs, so input gradients are not
   optional.
-* :func:`lstm_infer` / :func:`lstm_infer_last` are graph-free inference
-  kernels for black-box attack queries and evaluation: no caches, no
-  autograd node, just numpy.
+* :func:`lstm_infer_last` is the graph-free inference kernel for
+  black-box attack queries and evaluation: no caches, no autograd node,
+  just numpy.  :func:`grouped_infer_logits` answers many models' query
+  groups of a serving tick in one call.
 * :func:`train_step` is the graph-free training step of an LSTM stack
   plus linear head: the forward, the closed-form loss gradient and
   :func:`lstm_backward`, bit-identical to the autograd step.
+
+All of them run one recurrence, :func:`_layer_forward`, over row spans:
+each span keeps its own GEMMs at per-model shapes and the elementwise
+math runs once over all rows.  The per-model callers pass one span; the
+tick kernel passes one span per query group.
 
 Internally everything runs **time-major** (``(seq, batch, ·)``): per-step
 slices are then contiguous, which keeps every ufunc and GEMM on its fast
@@ -101,9 +107,9 @@ def _cell_step(
     Writes the activated gates to ``gt``, the cell state to ``ct``, its
     tanh to ``tct`` and the hidden state to ``h_out``; ``c_prev`` is
     ignored when ``zero_state`` (the implicit all-zeros previous cell).
-    The one ufunc sequence every LSTM kernel here runs — per model or
-    over a whole tick of groups — so per element their activation math
-    is bit-identical whatever the leading shape.
+    Per element its activation math is bit-identical whatever the
+    leading shape, so one call over many row spans answers each span as
+    a call over its rows alone would.
     """
     H = g.shape[-1] // 4
     # Sigmoid over the full 4H block in-place, then overwrite the cell
@@ -124,48 +130,55 @@ def _cell_step(
 
 def _layer_forward(
     X: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    state_zero: bool,
-    want_cache: bool,
+    spans: Sequence[Tuple[int, int]],
+    weights: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    want_cache: bool = False,
 ) -> Tuple[np.ndarray, Optional[LayerCache]]:
-    """Run one LSTM layer over a time-major ``(T, B, F)`` sequence.
+    """Run one LSTM layer over a time-major ``(T, N, F)`` sequence: the
+    one LSTM recurrence of this module.
 
-    The input projection for *all* timesteps is one GEMM; only the
-    recurrent projection remains inside the time loop (and is skipped at
-    ``t == 0`` for the implicit zero initial state, where it contributes
-    nothing).  Elementwise work writes straight into the caches via
-    ``out=`` to keep the numpy call count — the dominant cost at these
-    batch sizes — low.
+    Rows ``spans[s] = (lo, hi)`` run through ``weights[s] = (w_ih, w_hh,
+    bias)``; the spans tile ``0..N`` and share the hidden size.  Each span
+    keeps the GEMMs a call over its rows alone would issue — one
+    ``(T·B, F) @ W_ih`` for all timesteps, then one ``(B, H) @ W_hh`` per
+    step (none at ``t == 0`` from the implicit zero state, ``state is
+    None``) — written into its slice of tick-wide buffers.  The ``+ xw``
+    and :func:`_cell_step` run once over all ``N`` rows, so every span's
+    rows are bit-identical to running it alone.  Elementwise work writes
+    straight into the caches via ``out=`` to keep the numpy call count —
+    the dominant cost at these batch sizes — low.
     """
-    T, B, F = X.shape
-    H = w_hh.shape[0]
-    xw = X.reshape(T * B, F) @ w_ih
-    profiler.record_gemm(T * B, F, 4 * H)
-    xw += bias
-    xw = xw.reshape(T, B, 4 * H)
+    T, N, F = X.shape
+    H = weights[0][1].shape[0]
+    xw = np.empty((T, N, 4 * H), dtype=X.dtype)
+    for (lo, hi), (w_ih, _, bias) in zip(spans, weights):
+        B = hi - lo
+        proj = X[:, lo:hi].reshape(T * B, F) @ w_ih
+        profiler.record_gemm(T * B, F, 4 * H)
+        np.add(proj.reshape(T, B, 4 * H), bias, out=xw[:, lo:hi])
 
-    hs = np.empty((T, B, H), dtype=X.dtype)
+    hs = np.empty((T, N, H), dtype=X.dtype)
     # Without a cache the per-step activations are only read within their
-    # own step, so (B, ·) scratch replaces the (T, B, ·) arrays.
-    gates = np.empty((T, B, 4 * H), dtype=X.dtype) if want_cache else None
-    cs = np.empty((T, B, H), dtype=X.dtype) if want_cache else None
-    tcs = np.empty((T, B, H), dtype=X.dtype) if want_cache else None
-    gbuf = np.empty((B, 4 * H), dtype=X.dtype)
-    gtbuf = np.empty((B, 4 * H), dtype=X.dtype) if not want_cache else None
-    cbuf = np.empty((B, H), dtype=X.dtype) if not want_cache else None
-    tcbuf = np.empty((B, H), dtype=X.dtype) if not want_cache else None
-    h_prev, c_prev = h0, c0
+    # own step, so (N, ·) scratch replaces the (T, N, ·) arrays.
+    gates = np.empty((T, N, 4 * H), dtype=X.dtype) if want_cache else None
+    cs = np.empty((T, N, H), dtype=X.dtype) if want_cache else None
+    tcs = np.empty((T, N, H), dtype=X.dtype) if want_cache else None
+    gbuf = np.empty((N, 4 * H), dtype=X.dtype)
+    gtbuf = np.empty((N, 4 * H), dtype=X.dtype) if not want_cache else None
+    cbuf = np.empty((N, H), dtype=X.dtype) if not want_cache else None
+    tcbuf = np.empty((N, H), dtype=X.dtype) if not want_cache else None
+    state_zero = state is None
+    h_prev, c_prev = (None, None) if state_zero else state
     for t in range(T):
         first = t == 0 and state_zero
         if first:
             g = xw[0]
         else:
-            g = np.matmul(h_prev, w_hh, out=gbuf)
-            profiler.record_gemm(B, H, 4 * H)
+            for (lo, hi), (_, w_hh, _) in zip(spans, weights):
+                np.matmul(h_prev[lo:hi], w_hh, out=gbuf[lo:hi])
+                profiler.record_gemm(hi - lo, H, 4 * H)
+            g = gbuf
             g += xw[t]
         ct = cs[t] if want_cache else cbuf
         _cell_step(
@@ -180,8 +193,12 @@ def _layer_forward(
         h_prev, c_prev = hs[t], ct
     if not want_cache:
         return hs, None
+    if state_zero:
+        zeros = np.zeros((N, H), dtype=X.dtype)
+        state = (zeros, zeros)
     return hs, LayerCache(
-        inputs=X, gates=gates, c=cs, tc=tcs, h=hs, h0=h0, c0=c0, state_zero=state_zero
+        inputs=X, gates=gates, c=cs, tc=tcs, h=hs, h0=state[0], c0=state[1],
+        state_zero=state_zero,
     )
 
 
@@ -379,7 +396,7 @@ def lstm_forward(
 
     # Mirror Tensor._make's graph condition: when no node will be recorded
     # (no_grad, or nothing requires gradients) skip the backward caches —
-    # a graph-path eval forward then costs no more than lstm_infer.
+    # a graph-path eval forward then costs no more than lstm_infer_last.
     graph_parents = (
         (x_t,)
         + tuple(p for triple in layers for p in triple)
@@ -389,16 +406,11 @@ def lstm_forward(
 
     caches: List[LayerCache] = []
     layer_in = np.ascontiguousarray(data.transpose(1, 0, 2))
-    for idx, (w_ih, w_hh, bias) in enumerate(layers):
-        if state_zero:
-            H = w_hh.data.shape[0]
-            h0 = np.zeros((B, H), dtype=data.dtype)
-            c0 = np.zeros((B, H), dtype=data.dtype)
-        else:
-            h0, c0 = state[idx][0].data, state[idx][1].data
+    for idx, triple in enumerate(layers):
         hs, cache = _layer_forward(
-            layer_in, w_ih.data, w_hh.data, bias.data, h0, c0,
-            state_zero=state_zero, want_cache=wants_node,
+            layer_in, [(0, B)], [tuple(p.data for p in triple)],
+            None if state_zero else (state[idx][0].data, state[idx][1].data),
+            want_cache=wants_node,
         )
         mask = None
         if training and dropout_p > 0.0 and idx < len(layers) - 1:
@@ -487,10 +499,8 @@ def train_step(
     lowest = need_w.index(True) if any(need_w) else len(layers)
     layer0 = None
     if lowest > 0 and N >= 2:
-        w_ih, w_hh, bias = (p.data for p in layers[0])
-        zeros = np.zeros((N, w_hh.shape[0]), dtype=dtype)
         with profiler.paused():
-            layer0, _ = _layer_forward(X, w_ih, w_hh, bias, zeros, zeros, True, False)
+            layer0, _ = _layer_forward(X, [(0, N)], [tuple(p.data for p in layers[0])])
     head_w, head_b = head
 
     def step(idx: np.ndarray) -> float:
@@ -498,18 +508,15 @@ def train_step(
         weights = [tuple(p.data for p in triple) for triple in layers]
         caches: List[LayerCache] = []
         layer_in = None
-        for l, (w_ih, w_hh, bias) in enumerate(weights):
-            H = w_hh.shape[0]
+        for l, triple in enumerate(weights):
             if l == 0 and layer0 is not None and B >= 2:
                 hs, cache = np.take(layer0, idx, axis=1), None
-                _book_layer_forward(T, B, F, H)
+                _book_layer_forward(T, B, F, triple[1].shape[0])
             else:
                 if layer_in is None:
                     layer_in = np.take(X, idx, axis=1)
-                zeros = np.zeros((B, H), dtype=dtype)
                 hs, cache = _layer_forward(
-                    layer_in, w_ih, w_hh, bias, zeros, zeros,
-                    state_zero=True, want_cache=l >= lowest,
+                    layer_in, [(0, B)], [triple], want_cache=l >= lowest
                 )
             p, rng = dropouts[l]
             mask = _dropout_mask(rng, p, hs) if p > 0.0 else None
@@ -547,53 +554,35 @@ def train_step(
     return step
 
 
-def _infer_tm(
-    x_tm: np.ndarray,
-    layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _infer_last(
+    x: np.ndarray,
+    spans: Sequence[Tuple[int, int]],
+    stacks: Sequence[Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> np.ndarray:
-    """Chain layers over a time-major batch, graph- and cache-free."""
-    B = x_tm.shape[1]
-    layer_in = x_tm
-    for w_ih, w_hh, bias in layers:
-        H = w_hh.shape[0]
-        zeros = np.zeros((B, H), dtype=x_tm.dtype)
-        layer_in, _ = _layer_forward(
-            layer_in, w_ih, w_hh, bias, zeros, zeros, state_zero=True, want_cache=False
-        )
-    return layer_in
-
-
-def _check_infer_input(x: np.ndarray) -> np.ndarray:
+    """Final hidden states ``(rows, hidden)`` of a ``(rows, seq, features)``
+    batch whose rows ``spans[s]`` run through the layer stack
+    ``stacks[s]`` — graph-, cache- and dropout-free."""
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"LSTM expects (batch, seq, features); got shape {x.shape}")
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
-
-
-def lstm_infer(
-    x: np.ndarray,
-    layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Graph-free eval-mode forward over a numpy batch.
-
-    No autograd node, no activation caches, no dropout — the fast path for
-    black-box attack queries and evaluation.  Returns the top layer's
-    hidden states ``(batch, seq, hidden)``.
-    """
-    out = _infer_tm(_check_infer_input(x), layers)
-    return np.ascontiguousarray(out.transpose(1, 0, 2))
+    layer_in = np.ascontiguousarray(x.transpose(1, 0, 2))
+    for weights in zip(*stacks):
+        layer_in, _ = _layer_forward(layer_in, spans, weights)
+    return layer_in[-1]
 
 
 def lstm_infer_last(
     x: np.ndarray,
     layers: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Like :func:`lstm_infer` but returns only the final hidden state.
+    """Graph-free eval-mode forward returning only the final hidden state.
 
-    ``(batch, hidden)``, contiguous — exactly what a classification head
-    consumes, with no layout conversion of the full sequence.
+    No autograd node, no activation caches, no dropout — the fast path for
+    black-box attack queries and evaluation.  Returns ``(batch, hidden)``,
+    contiguous: exactly what a classification head consumes, with no
+    layout conversion of the full sequence.
     """
-    return _infer_tm(_check_infer_input(x), layers)[-1]
+    return _infer_last(x, [(0, len(x))], [layers])
 
 
 # ----------------------------------------------------------------------
@@ -619,49 +608,18 @@ def grouped_infer_logits(
     shape, and carry ``x``'s dtype.  Returns ``(rows, locations)``
     logits, before any temperature.
 
-    Each group keeps its own GEMMs at the exact shapes the per-model
-    kernel (:func:`lstm_infer_last` plus the head) issues — the input
-    projection ``(T·B, F) @ W_ih`` per layer, one ``(B, H) @ W_hh`` per
-    recurrent step, and ``(B, H) @ W_head`` — writing into its row slice
-    of tick-wide buffers, and each is reported to
-    :func:`~repro.nn.profiler.record_gemm`; the bias adds ride the
-    per-group writes.  The rest of the elementwise work — the recurrent
-    ``+ xw`` and :func:`_cell_step` — runs once over all rows.  Equal
-    GEMM shapes and per-element ufuncs make every group's logits
-    bit-identical to serving it alone; the saving is the per-group
-    Python dispatch of that elementwise work.
+    The groups are the row spans of :func:`_layer_forward`, so each keeps
+    its per-layer GEMMs at the shapes :func:`lstm_infer_last` issues for
+    it alone while the elementwise work runs once over all rows; the head
+    is one ``(B, H) @ W_head`` per group, written into its row slice and
+    reported to :func:`~repro.nn.profiler.record_gemm`.  Every group's
+    logits are therefore bit-identical to serving it alone; the saving is
+    the per-group Python dispatch of the elementwise work.
     """
-    N, T, _ = x.shape
     spans = list(zip(bounds[:-1], bounds[1:]))
-    hs = None
-    for layer in range(len(params[0][0])):
-        H = params[0][0][layer][1].shape[0]
-        xw = np.empty((T, N, 4 * H), dtype=x.dtype)
-        for (lo, hi), (layers, _, _) in zip(spans, params):
-            w_ih, _, bias = layers[layer]
-            X = x[lo:hi].transpose(1, 0, 2) if hs is None else hs[:, lo:hi]
-            B, F = hi - lo, X.shape[2]
-            proj = X.reshape(T * B, F) @ w_ih
-            profiler.record_gemm(T * B, F, 4 * H)
-            np.add(proj.reshape(T, B, 4 * H), bias, out=xw[:, lo:hi])
-        hs = np.empty((T, N, H), dtype=x.dtype)
-        gbuf = np.empty((N, 4 * H), dtype=x.dtype)
-        gtbuf = np.empty((N, 4 * H), dtype=x.dtype)
-        cbuf = np.empty((N, H), dtype=x.dtype)
-        tcbuf = np.empty((N, H), dtype=x.dtype)
-        for t in range(T):
-            if t == 0:
-                g = xw[0]
-            else:
-                for (lo, hi), (layers, _, _) in zip(spans, params):
-                    np.matmul(hs[t - 1, lo:hi], layers[layer][1], out=gbuf[lo:hi])
-                    profiler.record_gemm(hi - lo, H, 4 * H)
-                g = gbuf
-                g += xw[t]
-            _cell_step(g, gtbuf, cbuf, cbuf, tcbuf, hs[t], t == 0)
-    last = hs[-1]
+    last = _infer_last(x, spans, [layers for layers, _, _ in params])
     H, L = params[0][1].shape
-    logits = np.empty((N, L), dtype=x.dtype)
+    logits = np.empty((len(last), L), dtype=last.dtype)
     for (lo, hi), (_, head_w, head_b) in zip(spans, params):
         out = logits[lo:hi]
         np.matmul(last[lo:hi], head_w, out=out)

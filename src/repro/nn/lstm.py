@@ -168,16 +168,6 @@ class LSTM(Module):
             layer_input = outputs
         return stack(layer_input, axis=1)
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free eval-mode forward over a numpy batch (fused kernel).
-
-        The inference fast path for black-box queries and evaluation: no
-        autograd bookkeeping and no dropout, regardless of training mode.
-        """
-        return fused.lstm_infer(
-            x, [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in self.cells]
-        )
-
     def last_hidden(self, x: Tensor) -> Tensor:
         """Convenience: run the sequence and return the final hidden state."""
         out = self.forward(x)

@@ -20,6 +20,7 @@ from repro.attacks import (
     uniform_prior,
 )
 from repro.data import FeatureSpec, SessionFeatures
+from repro.data.features import discretize_entry, duration_bin_to_minute, entry_bin_to_minute
 from repro.data.dataset import Window
 
 NUM_LOCATIONS = 8
@@ -153,6 +154,80 @@ class TestTimeBased:
         prior[6] = 1.0 - 0.05 * (NUM_LOCATIONS - 1)
         output = TimeBasedAttack().run(instance, predictor, prior)
         assert output.reconstructions[T_MINUS_1].ranked_locations[0] == 6
+
+
+def _scalar_entry_bin(anchor_minute):
+    """One candidate's derived entry bin, computed the scalar way."""
+    return discretize_entry(int(np.clip(anchor_minute, 0, 24 * 60 - 1)))
+
+
+def _loop_plan(attack, instance, spec):
+    """The time-based plan built one candidate at a time, as
+    ``{step: [(entry, duration, location), ...]}`` in plan order."""
+    locations = attack._locations(spec).tolist()
+    slack = range(-attack.entry_slack, attack.entry_slack + 1)
+    last_bin = spec.entry_bins - 1
+    if instance.missing == (T_MINUS_1,):
+        known = instance.known[T_MINUS_2]
+        center = _scalar_entry_bin(
+            entry_bin_to_minute(known.entry_bin) + duration_bin_to_minute(known.duration_bin)
+        )
+        entries = range(max(0, center - attack.entry_slack), min(last_bin, center + attack.entry_slack) + 1)
+        return {T_MINUS_1: [
+            (e, d, l) for e in entries for d in range(spec.duration_bins) for l in locations
+        ]}
+    if instance.missing == (T_MINUS_2,):
+        anchor = entry_bin_to_minute(instance.known[T_MINUS_1].entry_bin)
+        return {T_MINUS_2: [
+            (min(max(_scalar_entry_bin(anchor - duration_bin_to_minute(d)) + k, 0), last_bin), d, l)
+            for d in range(spec.duration_bins) for l in locations for k in slack
+        ]}
+    durations = range(0, spec.duration_bins, attack.a3_duration_stride)
+    rows = [
+        (e2, d2, l2, _scalar_entry_bin(entry_bin_to_minute(e2) + duration_bin_to_minute(d2)), d1, l1)
+        for e2 in range(0, spec.entry_bins, attack.a3_entry_stride)
+        for d2 in durations for l2 in locations for d1 in durations for l1 in locations
+    ]
+    return {T_MINUS_2: [r[:3] for r in rows], T_MINUS_1: [r[3:] for r in rows]}
+
+
+class TestTimeBasedPlanVectorized:
+    @pytest.mark.parametrize("adversary", list(AdversaryClass))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("strides, slack", [((1, 3), 0), ((4, 4), 1), ((6, 2), 2)])
+    def test_plan_equals_scalar_loop(self, adversary, seed, strides, slack):
+        rng = np.random.default_rng(seed)
+        window = Window(
+            user_id=0,
+            history=tuple(
+                SessionFeatures(
+                    entry_bin=int(rng.integers(SPEC.entry_bins)),
+                    duration_bin=int(rng.integers(SPEC.duration_bins)),
+                    location=int(rng.integers(NUM_LOCATIONS)),
+                    day_of_week=2,
+                )
+                for _ in range(2)
+            ),
+            target=5,
+            day_index=0,
+            contiguous=True,
+        )
+        attack = TimeBasedAttack(
+            candidate_locations=np.sort(rng.choice(NUM_LOCATIONS, size=3, replace=False)),
+            entry_slack=slack,
+            a3_entry_stride=strides[0],
+            a3_duration_stride=strides[1],
+        )
+        instance = build_instance(window, adversary)
+        plan = attack.plan(instance, SPEC)
+        expected = _loop_plan(attack, instance, SPEC)
+        assert sorted(plan.candidate_features) == sorted(expected)
+        for step, candidates in expected.items():
+            grids = plan.candidate_features[step]
+            assert plan.n == len(candidates)
+            for name, column in zip(("entry", "duration", "location"), zip(*candidates)):
+                assert grids[name].dtype.kind == "i"
+                assert np.array_equal(grids[name], np.array(column))
 
 
 class TestGradientDescent:

@@ -1,5 +1,7 @@
 """Unit and property tests for discretization and one-hot encoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,50 @@ class TestFeatureSpec:
         g = SessionFeatures(1, 1, 1, 1)
         out = spec.encode_sequence([f, g])
         assert out.shape == (2, spec.width)
+
+
+#: Block sizes of FeatureSpec(num_locations=5), by SessionFeatures field.
+SIZES = {"entry_bin": 48, "duration_bin": 24, "location": 5, "day_of_week": 7}
+
+
+class TestOutOfRangeRejected:
+    """A field outside its block would set a bit of a neighbouring block;
+    every encoder rejects it, naming the field and the value."""
+
+    @pytest.mark.parametrize("field", sorted(SIZES))
+    @pytest.mark.parametrize("at_size", [False, True])
+    def test_every_encoder_rejects(self, field, at_size):
+        spec = FeatureSpec(num_locations=5)
+        value = SIZES[field] if at_size else -1
+        good = SessionFeatures(1, 1, 1, 1)
+        bad = dataclasses.replace(good, **{field: value})
+        calls = [
+            lambda: spec.encode(bad),
+            lambda: spec.encode_sequence([good, bad]),
+            lambda: spec.encode_windows([[good, good], [good, bad]]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{field} {value} outside"):
+                call()
+
+    def test_last_bin_of_every_block_accepted(self):
+        spec = FeatureSpec(num_locations=5)
+        last = SessionFeatures(*(SIZES[f] - 1 for f in
+                                 ("entry_bin", "duration_bin", "location", "day_of_week")))
+        assert spec.decode(spec.encode(last)) == last
+
+    def test_invalid_session_no_longer_aliases_a_valid_one(self):
+        """Unchecked, this session encoded as ones at columns 48, 76 and
+        77: duration bin 0, location 4 and day 0."""
+        spec = FeatureSpec(num_locations=5)
+        with pytest.raises(ValueError, match="entry_bin 48"):
+            spec.encode(SessionFeatures(entry_bin=48, duration_bin=0, location=5, day_of_week=-1))
+
+    def test_windows_must_share_one_length(self):
+        spec = FeatureSpec(num_locations=5)
+        f = SessionFeatures(0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"window length.*\[1, 2\]"):
+            spec.encode_windows([[f, f], [f]])
 
 
 class TestMarginals:

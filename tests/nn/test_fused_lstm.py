@@ -11,7 +11,7 @@ workload where nothing is skippable, both paths report identical totals.
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, Tensor, dtype_policy, no_grad
+from repro.nn import LSTM, Tensor, dtype_policy, lstm_infer_last, no_grad
 from repro.nn.profiler import flop_counter
 
 # (batch, seq_len, input_size, hidden_size, num_layers, seed)
@@ -24,6 +24,10 @@ SHAPES = [
 ]
 
 TOLERANCES = {"float64": dict(rtol=1e-9, atol=1e-9), "float32": dict(rtol=1e-3, atol=1e-4)}
+
+
+def _layer_arrays(lstm):
+    return [(c.weight_ih.data, c.weight_hh.data, c.bias.data) for c in lstm.cells]
 
 
 def _run_backend(lstm, x_np, backend, state=None):
@@ -174,12 +178,14 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="backend"):
             lstm.forward(Tensor(np.ones((1, 1, 4))), backend="jit")
 
-    def test_forward_np_matches_eval_forward(self, rng):
+    def test_infer_last_matches_eval_forward(self, rng):
         lstm = LSTM(5, 7, 2, rng, dropout=0.3)
         lstm.eval()
         x_np = np.random.default_rng(8).normal(size=(3, 2, 5))
-        graph = lstm(Tensor(x_np)).numpy()
-        np.testing.assert_allclose(lstm.forward_np(x_np), graph, rtol=1e-12, atol=1e-12)
+        graph = lstm(Tensor(x_np)).numpy()[:, -1, :]
+        np.testing.assert_allclose(
+            lstm_infer_last(x_np, _layer_arrays(lstm)), graph, rtol=1e-12, atol=1e-12
+        )
 
     def test_no_grad_forward_builds_no_node(self, rng):
         """Under no_grad the fused path skips backward caches and graph
@@ -189,4 +195,6 @@ class TestBackendSelection:
         with no_grad():
             out = lstm(Tensor(x_np))
         assert out._backward is None and not out.requires_grad
-        np.testing.assert_allclose(out.numpy(), lstm.eval().forward_np(x_np), rtol=1e-12)
+        np.testing.assert_allclose(
+            out.numpy()[:, -1, :], lstm_infer_last(x_np, _layer_arrays(lstm)), rtol=1e-12
+        )

@@ -166,8 +166,7 @@ class TestLayerZeroMemo:
         bias = rng.normal(scale=0.1, size=4 * hidden).astype(dtype)
 
         def layer0(x):
-            zeros = np.zeros((x.shape[1], hidden), dtype=dtype)
-            return fused._layer_forward(x, w_ih, w_hh, bias, zeros, zeros, True, False)[0]
+            return fused._layer_forward(x, [(0, x.shape[1])], [(w_ih, w_hh, bias)])[0]
 
         full = layer0(X)
         order = rng.permutation(rows)

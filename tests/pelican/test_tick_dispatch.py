@@ -15,6 +15,7 @@ and cloud users, billed with the adversary overlay (DESIGN.md §10).
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import pytest
 import repro.pelican.fleet as fleet_module
 from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models import NextLocationModel, NextLocationPredictor
-from repro.nn import dtype_policy
+from repro.nn import dtype_policy, profiler
 from repro.nn.fused import grouped_infer_logits, lstm_infer_last
 from repro.nn.profiler import flop_counter
 from repro.pelican import DeploymentMode, Fleet, Pelican
@@ -100,23 +101,38 @@ def _random_groups(seed, num_groups):
 
 
 class TestGroupedKernel:
+    @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_logits_match_per_model_kernel_bit_for_bit(self, dtype):
-        rng = np.random.default_rng(0)
-        models = [_model(10 + i, layers=2, surplus=True, dtype=dtype) for i in range(4)]
-        sizes = [3, 1, 5, 2]
+    def test_logits_match_per_model_kernel_bit_for_bit(self, dtype, seed):
+        """Random row spans (1-row and ≥2-row groups) over 1–3 layers,
+        with and without a surplus layer: the grouped kernel equals each
+        group served alone through lstm_infer_last plus the head, and
+        books the same MACs in the same number of GEMM calls."""
+        rng = np.random.default_rng(seed)
+        layers = 1 + seed % 3
+        surplus = seed % 2 == 1
+        sizes = rng.integers(1, 5, size=int(rng.integers(2, 7))).tolist()
+        sizes[:2] = [1, 2]
+        rng.shuffle(sizes)
+        models = [
+            _model(10 + 7 * seed + i, hidden=8, layers=layers, surplus=surplus, dtype=dtype)
+            for i in range(len(sizes))
+        ]
         bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-        x = rng.integers(0, 2, size=(bounds[-1], 3, SPEC.width)).astype(dtype)
+        steps = int(rng.choice(WINDOW_LENGTHS))
+        x = rng.integers(0, 2, size=(bounds[-1], steps, SPEC.width)).astype(dtype)
         with flop_counter() as grouped:
             logits = grouped_infer_logits(x, bounds, [m.fused_params() for m in models])
         with flop_counter() as alone:
             for m, lo, hi in zip(models, bounds[:-1], bounds[1:]):
-                layers, head_w, head_b = m.fused_params()
-                expected = lstm_infer_last(x[lo:hi], layers) @ head_w + head_b
+                stack, head_w, head_b = m.fused_params()
+                assert len(stack) == layers + surplus
+                last = lstm_infer_last(x[lo:hi], stack)
+                expected = last @ head_w + head_b
+                profiler.record_gemm(hi - lo, last.shape[1], head_w.shape[1])
                 assert np.array_equal(logits[lo:hi], expected)
                 assert logits.dtype == expected.dtype
-        alone.macs += sum(s * m.hidden_size * SPEC.num_locations for s, m in zip(sizes, models))
-        assert (grouped.macs, grouped.matmul_calls) == (alone.macs, alone.matmul_calls + len(models))
+        assert (grouped.macs, grouped.matmul_calls) == (alone.macs, alone.matmul_calls)
 
 
 class TestDispatchTick:
@@ -326,3 +342,25 @@ def test_fleet_rejects_domain_mismatched_model():
     requests = [QueryRequest(1, _history(np.random.default_rng(0), 2), 3)]
     with pytest.raises(ValueError, match="location domain"):
         fleet._serve_groups(requests, lambda uid, user: (bad, None))
+
+
+@pytest.mark.parametrize("uid", [0, 1, 7])  # local, cloud, reference-backend cloud
+@pytest.mark.parametrize("field, size", [
+    ("entry_bin", SPEC.entry_bins),
+    ("duration_bin", SPEC.duration_bins),
+    ("location", SPEC.num_locations),
+    ("day_of_week", SPEC.days),
+])
+@pytest.mark.parametrize("at_size", [False, True])
+def test_fleet_serve_rejects_out_of_range_fields(uid, field, size, at_size):
+    """A query with a field outside its block fails loudly instead of
+    being answered as some other, valid-looking session."""
+    value = size if at_size else -1
+    first, second = _history(np.random.default_rng(uid), 2)
+    bad = (first, dataclasses.replace(second, **{field: value}))
+    requests = [QueryRequest(uid, _history(np.random.default_rng(9), 2), 3), QueryRequest(uid, bad, 3)]
+    fleet = _fleet()
+    if uid % 2:
+        fleet.registry.register(uid, fleet.pelican.users[uid].endpoint.predictor.model)
+    with pytest.raises(ValueError, match=f"^{field} {value} outside"):
+        fleet.serve(requests)
