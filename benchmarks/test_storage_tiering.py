@@ -1,6 +1,6 @@
-"""Tiered blob storage benchmarks (DESIGN.md §14).
+"""Blob storage benchmarks (DESIGN.md §14).
 
-Two claims back the storage tier:
+Two claims back the disk store and the compact codec:
 
 * **Residency** — a registry over :class:`DiskBlobStore` keeps O(index)
   bytes resident instead of O(total blobs), so 100k+ registered models
@@ -36,12 +36,7 @@ from repro.data.features import FeatureSpec
 from repro.models import NextLocationModel
 from repro.nn.serialization import encode_compact
 from repro.pelican.deployment import rebuild_personal_model, serialize_personal_model
-from repro.pelican.storage import (
-    INDEX_ENTRY_BYTES,
-    DiskBlobStore,
-    MemoryBlobStore,
-    TieredBlobStore,
-)
+from repro.pelican.storage import INDEX_ENTRY_BYTES, DiskBlobStore, MemoryBlobStore
 
 MIN_RESIDENCY_RATIO = 10.0
 #: Latency gates are record-only on shared CI runners.
@@ -95,7 +90,7 @@ def populated_disk(tiny_blob):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_users", SCALES)
 def test_disk_residency_ratio(tiny_blob, num_users):
-    """Disk-tier resident memory is ≥ 10x below in-memory at every scale."""
+    """Disk-store resident memory is ≥ 10x below in-memory at every scale."""
     memory = MemoryBlobStore()
     disk = DiskBlobStore()
     try:
@@ -114,20 +109,6 @@ def test_disk_residency_ratio(tiny_blob, num_users):
         assert disk[num_users // 2] == tiny_blob
     finally:
         disk.close()
-
-
-def test_tiered_residency_bounded(tiny_blob):
-    """The hot tier never exceeds its budget; residency is hot + index."""
-    hot_budget = 64 * len(tiny_blob)
-    store = TieredBlobStore(hot_bytes=hot_budget)
-    try:
-        for uid in range(10_000):
-            store[uid] = tiny_blob
-        assert len(store) == 10_000
-        assert store.resident_bytes() <= hot_budget + store._disk.resident_bytes()
-        assert store.resident_bytes() < store.total_bytes / MIN_RESIDENCY_RATIO
-    finally:
-        store.close()
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ attributed per side, network traffic, and registry cache behaviour —
 then, as a finale, the same deployment sharded and hit with a total
 blackout under a resilience policy (DESIGN.md §11), printing the
 degraded-vs-fresh answer breakdown; and finally the deployment re-run
-with the model registry on the tiered blob store (DESIGN.md §14),
+with the model registry on the disk blob store (DESIGN.md §14),
 gating answer parity against the in-memory run and printing the
 resident-memory and cold-load-latency deltas.
 
@@ -221,26 +221,24 @@ def main() -> None:
         f"{stats.backoff_seconds:.2f}s backoff"
     )
 
-    print("\n=== Phase 6: the registry on the tiered blob store (DESIGN.md §14) ===")
+    print("\n=== Phase 6: the registry on the disk blob store (DESIGN.md §14) ===")
     # The same onboarding schedule and query burst, replayed from the
-    # trained snapshot over the in-memory store and over the tiered store.
-    # The hot budget is deliberately sized *below* one checkpoint, so
-    # every checkpoint demotes to disk immediately — the all-cold worst
-    # case for the latency comparison.  Stores are byte-transparent, so
-    # the answers must be identical; what changes is what stays resident.
+    # trained snapshot over the in-memory store and over the disk store,
+    # whose checkpoints live in mmap-backed segment files.  Stores are
+    # byte-transparent, so the answers must be identical; what changes
+    # is what stays resident.
 
-    def replay(kind, hot_bytes):
-        store = make_blob_store(kind, hot_bytes=hot_bytes)
+    def replay(kind):
+        store = make_blob_store(kind)
         replayed = Fleet(
             copy.deepcopy(pristine), registry_capacity=1, registry_store=store
         )
         replayed.run(schedule)
         return replayed, store, replayed.serve(requests)
 
-    memory_fleet, memory_store, memory_answers = replay("memory", 0)
-    blob_bytes = max(len(blob) for blob in memory_store.values())
-    tiered_fleet, tiered_store, tiered_answers = replay("tiered", blob_bytes // 2)
-    print(f"answers identical across stores: {responses_match(tiered_answers, memory_answers)}")
+    memory_fleet, memory_store, memory_answers = replay("memory")
+    disk_fleet, disk_store, disk_answers = replay("disk")
+    print(f"answers identical across stores: {responses_match(disk_answers, memory_answers)}")
 
     def cold_load_ms(replayed, uid):
         best = float("inf")
@@ -257,20 +255,18 @@ def main() -> None:
         if user.endpoint.mode is DeploymentMode.CLOUD
     )
     memory_ms = cold_load_ms(memory_fleet, cloud_uid)
-    tiered_ms = cold_load_ms(tiered_fleet, cloud_uid)
+    disk_ms = cold_load_ms(disk_fleet, cloud_uid)
     print(
         f"resident blob bytes: {memory_store.resident_bytes() / 1e3:.0f} KB in-memory "
-        f"-> {tiered_store.resident_bytes() / 1e3:.0f} KB tiered "
-        f"({memory_store.resident_bytes() / tiered_store.resident_bytes():.1f}x less resident, "
-        f"{tiered_store.total_bytes / 1e3:.0f} KB durable on disk)"
+        f"-> {disk_store.resident_bytes()} B disk "
+        f"({memory_store.resident_bytes() / disk_store.resident_bytes():.1f}x less resident, "
+        f"{disk_store.total_bytes / 1e3:.0f} KB durable on disk)"
     )
     print(
         f"registry cold load (evict + reload user {cloud_uid}): "
-        f"{memory_ms:.2f}ms in-memory -> {tiered_ms:.2f}ms tiered "
-        f"(hot tier: {tiered_store.hot_hits} hits / {tiered_store.hot_misses} misses)"
+        f"{memory_ms:.2f}ms in-memory -> {disk_ms:.2f}ms disk"
     )
-    tiered_store.close()
-
+    disk_store.close()
 
 if __name__ == "__main__":
     main()

@@ -446,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--store", choices=sorted(STORE_KINDS), default="memory",
-        help="durable blob-store tier behind the registry: memory, disk "
-        "(mmap-backed segments), or tiered (hot cache over disk); answers "
-        "and signatures are bit-identical across tiers (default memory)",
+        help="durable blob store behind the registry: memory or disk "
+        "(mmap-backed segments); answers and signatures are bit-identical "
+        "across stores (default memory)",
     )
     fleet.add_argument(
         "--delta-updates", action="store_true",
@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stack_args(serve_load, capacity_default=64)
     serve_load.add_argument(
         "--store", choices=sorted(STORE_KINDS), default="memory",
-        help="durable blob-store tier behind the registry (default memory)",
+        help="durable blob store behind the registry (default memory)",
     )
     serve_load.add_argument(
         "--fast", action="store_true",

@@ -176,12 +176,15 @@ class FeatureSpec:
         dominate the tick.  A field outside its block raises
         :class:`ValueError` naming the field and the value; unchecked, it
         would set a bit of a neighbouring block and encode some other,
-        valid-looking session.
+        valid-looking session.  An empty window raises too: there is no
+        last step to predict from.
         """
         n = len(windows)
         if n == 0:
             return np.zeros((0, 0, self.width))
         steps = len(windows[0])
+        if steps == 0:
+            raise ValueError("windows must hold at least one session to encode")
         if any(len(w) != steps for w in windows):
             lengths = sorted({len(w) for w in windows})
             raise ValueError(f"windows must share one window length to batch-encode, got {lengths}")

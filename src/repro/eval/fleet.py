@@ -213,9 +213,9 @@ def build_fleet_workload(
     :class:`~repro.pelican.fleet.Fleet`; responses are bit-identical
     either way (DESIGN.md §9), only the books shard.
 
-    ``store`` selects the durable blob-store tier behind the registry
-    (DESIGN.md §14: ``memory`` / ``disk`` / ``tiered``); responses and
-    signatures are bit-identical across tiers.  ``delta_updates`` ships
+    ``store`` selects the durable blob store behind the registry
+    (DESIGN.md §14: ``memory`` / ``disk``); responses and signatures are
+    bit-identical across stores.  ``delta_updates`` ships
     cloud redeploys as weight deltas — an opt-in that legitimately
     lowers network-byte books.
 

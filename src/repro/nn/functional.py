@@ -144,11 +144,14 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 def top_k_indices(scores: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
     """Indices of the ``k`` largest entries, sorted descending by score.
 
-    Ties keep ascending index order among the selected entries.  1-D and
-    2-D last-axis input (every serving call) slices and fancy-indexes
+    Ties keep ascending index order among the selected entries; ``k``
+    above the axis length is clamped to it, and ``k < 1`` raises.  1-D
+    and 2-D last-axis input (every serving call) slices and fancy-indexes
     instead of ``take``/``take_along_axis``; the selection is the same
     ``argpartition`` and stable ``argsort`` either way.
     """
+    if k < 1:
+        raise ValueError(f"top-k ranking needs k >= 1, got k={k}")
     scores = np.asarray(scores)
     k = min(k, scores.shape[axis])
     part = np.argpartition(-scores, k - 1, axis=axis)

@@ -91,7 +91,6 @@ from repro.pelican.storage import (
     BlobStore,
     DiskBlobStore,
     MemoryBlobStore,
-    TieredBlobStore,
     make_blob_store,
 )
 from repro.pelican.stacking import stack_key
@@ -140,7 +139,6 @@ __all__ = [
     "BlobStore",
     "DiskBlobStore",
     "MemoryBlobStore",
-    "TieredBlobStore",
     "STORE_KINDS",
     "make_blob_store",
     "DEFAULT_PRIVACY_TEMPERATURE",

@@ -135,7 +135,9 @@ class FleetSchedule:
         history: Sequence[SessionFeatures],
         k: int = 3,
     ) -> "FleetSchedule":
-        """Schedule one service query."""
+        """Schedule one service query (``k >= 1`` locations ranked)."""
+        if k < 1:
+            raise ValueError(f"query for user {user_id} needs k >= 1, got k={k}")
         self._append(EventKind.QUERY, time, user_id, tuple(history), {"k": k})
         return self
 

@@ -362,7 +362,9 @@ class Fleet:
         users = self.pelican.users if users is None else users
         groups = []
         for (user_id, _, k, is_probe), indices in group_requests(requests).items():
-            user = users[user_id]
+            user = users.get(user_id)
+            if user is None:
+                raise KeyError(f"user {user_id} is not onboarded on this fleet")
             model, tier = resolve(user_id, user)
             groups.append(_Group(user, model, tier, k, is_probe, indices))
         computed = self._compute_groups(requests, groups)

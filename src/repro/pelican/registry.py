@@ -18,7 +18,7 @@ Byte accounting is split in two (DESIGN.md §14): blobs are *stored* in the
 compact format-2 codec (physical bytes, what a store holds), but every
 simulated fetch is *billed* at the logical npz size embedded in the compact
 header — the size the transport layer books for the same checkpoint — so
-swapping the physical codec or the store tier cannot move signatures.
+swapping the physical codec or the store cannot move signatures.
 """
 
 from __future__ import annotations

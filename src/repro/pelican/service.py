@@ -111,6 +111,10 @@ class ServiceRequest:
     history: Any
     k: int = 3
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"request for user {self.user_id} needs k >= 1, got k={self.k}")
+
 
 @dataclass(frozen=True)
 class ServiceResponse:

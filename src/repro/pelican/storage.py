@@ -1,9 +1,9 @@
-"""Tiered blob stores backing :class:`~repro.pelican.registry.ModelRegistry`.
+"""Blob stores backing :class:`~repro.pelican.registry.ModelRegistry`.
 
 The registry durably holds one serialized checkpoint per registered user
 (paper §V-A3: personalized models uploaded for cloud serving).  A plain
 in-memory dict caps registered-user count by RAM long before the serving
-path saturates, so the store is an interface with three implementations
+path saturates, so the store is an interface with two implementations
 (DESIGN.md §14):
 
 * :class:`MemoryBlobStore` — the historical dict semantics, still the
@@ -12,10 +12,8 @@ path saturates, so the store is an interface with three implementations
   ``{user_id: (segment, offset, length)}`` index.  Reads are served through
   ``mmap`` (page-cache backed, zero-copy via :meth:`BlobStore.view`), so
   resident memory stays O(index), not O(blobs).
-* :class:`TieredBlobStore` — a bounded hot ``bytes`` cache layered over a
-  disk tier with deterministic LRU demotion.
 
-All three expose the mutable-mapping API the fleet and cluster layers
+Both expose the mutable-mapping API the fleet and cluster layers
 use on the shared store (``items``/``get``/``update``/indexing) plus
 ``total_bytes``, ``view`` and ``close``; the registry, fleet and cluster
 accept a :class:`BlobStore` (or ``None`` for a fresh memory store) and
@@ -28,13 +26,12 @@ from __future__ import annotations
 import mmap
 import shutil
 import tempfile
-from collections import OrderedDict
 from collections.abc import MutableMapping
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Store kinds accepted by :func:`make_blob_store` and the ``--store`` knob.
-STORE_KINDS = ("memory", "disk", "tiered")
+STORE_KINDS = ("memory", "disk")
 
 #: Documented accounting estimate for one disk-index entry: a dict slot, an
 #: int key, and a three-int tuple.  Used by ``resident_bytes`` so the
@@ -44,8 +41,6 @@ INDEX_ENTRY_BYTES = 120
 
 class BlobStore(MutableMapping):
     """Mutable mapping of ``user_id -> bytes`` with residency accounting."""
-
-    kind: str = "abstract"
 
     @property
     def total_bytes(self) -> int:
@@ -59,7 +54,7 @@ class BlobStore(MutableMapping):
     def view(self, user_id: int) -> Union[bytes, memoryview]:
         """A read-only buffer over one blob; may avoid copying.
 
-        Unlike ``__getitem__`` (which always returns picklable ``bytes``),
+        Unlike ``__getitem__`` (which always returns owned ``bytes``),
         a view may alias an ``mmap`` — callers must not hold it across
         writes to the same store.
         """
@@ -75,13 +70,9 @@ class BlobStore(MutableMapping):
 class MemoryBlobStore(BlobStore):
     """Heap-resident store with the exact semantics of the historical dict."""
 
-    kind = "memory"
-
-    def __init__(self, initial: Optional[Dict[int, bytes]] = None) -> None:
+    def __init__(self) -> None:
         self._data: Dict[int, bytes] = {}
         self._total = 0
-        if initial:
-            self.update(initial)
 
     @property
     def total_bytes(self) -> int:
@@ -121,14 +112,7 @@ class DiskBlobStore(BlobStore):
     old bytes as garbage — redeploys are rare relative to reads, so no
     compaction is needed at simulation scale.  Reads map the owning segment
     once and slice it, so steady-state resident memory is the index alone.
-
-    Pickling or deep-copying a disk store (as ``copy.deepcopy`` of a
-    cluster does) snapshots the index and drops the open handles/maps
-    (they reopen lazily).  The copy shares the segment files, so exactly
-    one copy may keep writing.
     """
-
-    kind = "disk"
 
     def __init__(
         self,
@@ -241,117 +225,13 @@ class DiskBlobStore(BlobStore):
         if self._owns_dir:
             shutil.rmtree(self._dir, ignore_errors=True)
 
-    def __getstate__(self):
-        if self._writer is not None:
-            # Replicas read the files directly; whatever the index claims
-            # must be on disk before the snapshot is taken.
-            self._writer.flush()
-        state = self.__dict__.copy()
-        state["_writer"] = None
-        state["_maps"] = {}
-        state["_retired"] = []
-        # A restored copy is a read replica over shared files; it must not
-        # delete them on close.
-        state["_owns_dir"] = False
-        return state
-
-    def __deepcopy__(self, memo):
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__getstate__())
-        clone._index = dict(self._index)
-        clone._segment_sizes = dict(self._segment_sizes)
-        return clone
-
-
-class TieredBlobStore(BlobStore):
-    """Bounded hot ``bytes`` cache over a disk tier.
-
-    Writes go through to disk and admit the blob to the hot tier; reads
-    promote on hit and admit on miss.  When the hot tier exceeds
-    ``hot_bytes``, least-recently-used entries demote (they remain on
-    disk), so demotion depends only on the access sequence — deterministic
-    across runs.
-    """
-
-    kind = "tiered"
-
-    def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        hot_bytes: int = 4 * 1024 * 1024,
-        disk: Optional[DiskBlobStore] = None,
-    ) -> None:
-        self._disk = DiskBlobStore(directory) if disk is None else disk
-        self._hot_bytes = int(hot_bytes)
-        self._hot: "OrderedDict[int, bytes]" = OrderedDict()
-        self._hot_total = 0
-        self.hot_hits = 0
-        self.hot_misses = 0
-
-    def _admit(self, user_id: int, blob: bytes) -> None:
-        prior = self._hot.pop(user_id, None)
-        if prior is not None:
-            self._hot_total -= len(prior)
-        self._hot[user_id] = blob
-        self._hot_total += len(blob)
-        while self._hot_total > self._hot_bytes and self._hot:
-            _, demoted = self._hot.popitem(last=False)
-            self._hot_total -= len(demoted)
-
-    def __setitem__(self, user_id: int, blob: bytes) -> None:
-        data = bytes(blob)
-        self._disk[user_id] = data
-        self._admit(user_id, data)
-
-    def __getitem__(self, user_id: int) -> bytes:
-        hot = self._hot.get(user_id)
-        if hot is not None:
-            self._hot.move_to_end(user_id)
-            self.hot_hits += 1
-            return hot
-        blob = self._disk[user_id]
-        self.hot_misses += 1
-        self._admit(user_id, blob)
-        return blob
-
-    def __delitem__(self, user_id: int) -> None:
-        del self._disk[user_id]
-        prior = self._hot.pop(user_id, None)
-        if prior is not None:
-            self._hot_total -= len(prior)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._disk)
-
-    def __len__(self) -> int:
-        return len(self._disk)
-
-    def __contains__(self, user_id: object) -> bool:
-        return user_id in self._disk
-
-    @property
-    def total_bytes(self) -> int:
-        return self._disk.total_bytes
-
-    def resident_bytes(self) -> int:
-        return self._hot_total + self._disk.resident_bytes()
-
-    def close(self) -> None:
-        self._hot.clear()
-        self._hot_total = 0
-        self._disk.close()
-
 
 def make_blob_store(
-    kind: str = "memory",
-    directory: Optional[Union[str, Path]] = None,
-    hot_bytes: int = 4 * 1024 * 1024,
+    kind: str = "memory", directory: Optional[Union[str, Path]] = None
 ) -> BlobStore:
-    """Build a store by kind (``memory`` / ``disk`` / ``tiered``)."""
+    """Build a store by kind (``memory`` / ``disk``)."""
     if kind == "memory":
         return MemoryBlobStore()
     if kind == "disk":
         return DiskBlobStore(directory)
-    if kind == "tiered":
-        return TieredBlobStore(directory, hot_bytes=hot_bytes)
     raise ValueError(f"unknown blob store kind {kind!r}; expected one of {STORE_KINDS}")

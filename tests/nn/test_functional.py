@@ -73,6 +73,15 @@ class TestTopK:
         scores = np.array([0.3, 0.1])
         np.testing.assert_array_equal(top_k_indices(scores, 10), [0, 1])
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_rejected(self, k):
+        """A negative ``k`` used to return all but ``-k`` entries (6 of 7
+        for ``k=-1``) and ``k=0`` none; both now raise on every path."""
+        scores = np.linspace(0.0, 1.0, 7)
+        for batch in (scores, scores[None], scores[None, None]):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                top_k_indices(batch, k)
+
     def test_batched(self):
         scores = np.array([[0.1, 0.9], [0.8, 0.2]])
         np.testing.assert_array_equal(top_k_indices(scores, 1, axis=-1), [[1], [0]])

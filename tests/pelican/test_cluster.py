@@ -549,26 +549,29 @@ def _registry_cluster(pelican, num_shards):
     )
 
 
+def _onboarded(trained):
+    """A 2-shard cluster with every personal user cloud-onboarded, and
+    one valid query per user."""
+    corpus, pelican, splits = trained
+    cluster = _registry_cluster(pelican, num_shards=2)
+    for uid in corpus.personal_ids:
+        cluster.onboard(uid, splits[uid][0], deployment=DeploymentMode.CLOUD)
+    requests = [
+        QueryRequest(
+            user_id=uid, history=tuple(splits[uid][1].windows[0].history), k=3
+        )
+        for uid in corpus.personal_ids
+    ]
+    return cluster, requests
+
+
 class TestScatterGuard:
     """A shard returning the wrong number of slots is a hard error at the
     merge — misalignment can never be silent."""
 
-    def _onboarded(self, trained):
-        corpus, pelican, splits = trained
-        cluster = _registry_cluster(pelican, num_shards=2)
-        for uid in corpus.personal_ids:
-            cluster.onboard(uid, splits[uid][0], deployment=DeploymentMode.CLOUD)
-        requests = [
-            QueryRequest(
-                user_id=uid, history=tuple(splits[uid][1].windows[0].history), k=3
-            )
-            for uid in corpus.personal_ids
-        ]
-        return cluster, requests
-
     def test_short_shard_response_raises(self, trained):
         corpus, _, _ = trained
-        cluster, requests = self._onboarded(trained)
+        cluster, requests = _onboarded(trained)
         victim = cluster.shards[cluster.shard_of(corpus.personal_ids[0])]
         original = victim.serve
         victim.serve = lambda subset: original(subset)[:-1]
@@ -577,7 +580,7 @@ class TestScatterGuard:
 
     def test_long_shard_response_raises(self, trained):
         corpus, _, _ = trained
-        cluster, requests = self._onboarded(trained)
+        cluster, requests = _onboarded(trained)
         victim = cluster.shards[cluster.shard_of(corpus.personal_ids[0])]
         original = victim.serve
         victim.serve = lambda subset: original(subset) * 2
@@ -585,8 +588,32 @@ class TestScatterGuard:
             cluster.serve(requests)
 
     def test_intact_shards_pass_the_guard(self, trained):
-        cluster, requests = self._onboarded(trained)
+        cluster, requests = _onboarded(trained)
         assert len(cluster.serve(requests)) == len(requests)
+
+
+class TestMalformedRequests:
+    """A bad request routed to a shard fails with an error naming the
+    problem, not a bare lookup or index error from deep in serving."""
+
+    def test_unknown_user_raises_with_context(self, trained):
+        cluster, requests = _onboarded(trained)
+        bad = QueryRequest(user_id=999, history=requests[0].history, k=3)
+        with pytest.raises(KeyError, match="user 999 is not onboarded"):
+            cluster.serve(requests + [bad])
+
+    def test_empty_history_raises(self, trained):
+        cluster, requests = _onboarded(trained)
+        bad = QueryRequest(user_id=requests[0].user_id, history=(), k=3)
+        with pytest.raises(ValueError, match="at least one session"):
+            cluster.serve(requests + [bad])
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_raises(self, trained, k):
+        cluster, requests = _onboarded(trained)
+        bad = dataclasses.replace(requests[0], k=k)
+        with pytest.raises(ValueError, match=f"k={k}"):
+            cluster.serve(requests + [bad])
 
 
 class TestTargetedInvalidation:

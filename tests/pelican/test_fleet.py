@@ -250,6 +250,17 @@ class TestScheduleInvariants:
         seqs = [e.seq for e in schedule.ordered()]
         assert seqs == [3, 4, 5]
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_query_rejects_k_below_one(self, k):
+        """``k < 1`` is refused at build time and schedules nothing;
+        probes keep their ``k = 0`` marker."""
+        schedule = FleetSchedule()
+        with pytest.raises(ValueError, match=f"user 3 needs k >= 1, got k={k}"):
+            schedule.query(1.0, 3, (), k=k)
+        assert len(schedule) == 0
+        schedule.probe(1.0, 3, payload=None)
+        assert [dict(e.options)["k"] for e in schedule.ordered()] == [0]
+
     def test_same_tick_onboard_then_query_ordering_enforced(self, tiny_corpus):
         """At one tick, insertion order is execution order: onboard added
         before query serves it; the reverse order fails fast."""

@@ -26,10 +26,10 @@ fleet layer advertises:
   query is answered or counted shed (conservation); and same-seed runs
   are bit-deterministic end to end, breaker transition log included;
 * **store-axis identity** (DESIGN.md §14) — replaying a lifecycle
-  schedule over a memory-, disk-, or tiered-backed registry store
+  schedule over a memory- or disk-backed registry store
   returns bit-identical responses, per-endpoint ledgers, eviction logs,
   and ``FleetReport.signature()`` — stores are byte-transparent — and a
-  2-shard outage run whose failover cold-loads come off the disk tier
+  2-shard outage run whose failover cold-loads come off the disk store
   matches the in-memory run exactly;
 * **generator/front-door invariants** (DESIGN.md §15) — random
   :class:`~repro.traffic.TrafficGenerator` configs compile to schedules
@@ -419,7 +419,7 @@ def test_cluster_breaker_log_determinism(base, tiny_corpus, seed):
 
 @pytest.mark.parametrize("seed", range(NUM_LIFECYCLE_SCHEDULES))
 def test_store_axis_differential_sweep(base, tiny_corpus, seed, tmp_path):
-    """Memory vs disk vs tiered registry stores over generated lifecycle
+    """Memory vs disk registry stores over generated lifecycle
     schedules (DESIGN.md §14): stores are byte-transparent, so responses,
     per-endpoint ledgers, eviction logs, and ``FleetReport.signature()``
     must all be bit-identical across the store axis."""
@@ -449,17 +449,15 @@ def test_store_axis_differential_sweep(base, tiny_corpus, seed, tmp_path):
         finally:
             store.close()
 
-    reference = run("memory")
-    for kind in ("disk", "tiered"):
-        assert run(kind) == reference
+    assert run("disk") == run("memory")
 
 
 @pytest.mark.parametrize("seed", range(min(NUM_LIFECYCLE_SCHEDULES, 7)))
 def test_store_disk_failover_cold_loads(base, tiny_corpus, seed, tmp_path):
     """A 2-shard cluster under shard-outage chaos fails queries over to
     the surviving shard, whose registry cold-loads the checkpoint off the
-    cluster-wide durable store (DESIGN.md §14).  With that store on the
-    disk tier the run must stay bit-identical to the in-memory run —
+    cluster-wide durable store (DESIGN.md §14).  With that store on
+    disk the run must stay bit-identical to the in-memory run —
     responses and ``totals_signature()`` — while actually exercising
     failover cold loads."""
     from repro.pelican import DiskBlobStore, totals_signature
@@ -628,7 +626,7 @@ def test_generator_front_door_parity_and_conservation(base, seed):
     assert_parity(responses, reference)
 
 
-@pytest.mark.parametrize("store_kind", ["memory", "disk", "tiered"])
+@pytest.mark.parametrize("store_kind", ["memory", "disk"])
 @pytest.mark.parametrize("seed", range(NUM_LIFECYCLE_SCHEDULES))
 def test_generator_store_axis_determinism(base, seed, store_kind, tmp_path):
     """Front-door runs of a generated workload are bit-identical on

@@ -154,6 +154,14 @@ class TestAdmissionQueue:
         with pytest.raises(ValueError):
             ServiceConfig(service_overhead=-0.1)
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_request_rejects_k_below_one(self, k):
+        """A ``k < 1`` request is refused where it is built, before it can
+        reach a flush."""
+        with pytest.raises(ValueError, match=f"user 4 needs k >= 1, got k={k}"):
+            ServiceRequest(time=0.0, user_id=4, history=(), k=k)
+        assert ServiceRequest(time=0.0, user_id=4, history=(), k=1).k == 1
+
 
 class TestLatencyBook:
     def test_nearest_rank_percentiles(self):

@@ -1,4 +1,4 @@
-"""Tiered blob storage: stores, compact codec, delta redeploys (DESIGN.md §14).
+"""Blob storage: stores, compact codec, delta redeploys (DESIGN.md §14).
 
 Three layers of guarantees:
 
@@ -8,11 +8,9 @@ Three layers of guarantees:
   included), embed the logical npz size, and delta blobs reconstitute
   the full compact blob byte-for-byte;
 * integration — a registry (and a delta-updating Pelican deploy) behaves
-  identically over any store tier, and `stored_bytes` stays equal to the
+  identically over either store, and `stored_bytes` stays equal to the
   recomputed sum through register/evict/overwrite churn.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -35,7 +33,6 @@ from repro.pelican import (
     DiskBlobStore,
     MemoryBlobStore,
     ModelRegistry,
-    TieredBlobStore,
     make_blob_store,
     rebuild_personal_model,
     serialize_personal_model,
@@ -67,7 +64,6 @@ def _stores(tmp_path):
     return [
         MemoryBlobStore(),
         DiskBlobStore(tmp_path / "disk"),
-        TieredBlobStore(tmp_path / "tiered", hot_bytes=1 << 12),
     ]
 
 
@@ -112,13 +108,12 @@ class TestStoreSemantics:
         assert isinstance(make_blob_store("memory"), MemoryBlobStore)
         disk = make_blob_store("disk", tmp_path / "d")
         assert isinstance(disk, DiskBlobStore)
-        tiered = make_blob_store("tiered", tmp_path / "t")
-        assert isinstance(tiered, TieredBlobStore)
-        with pytest.raises(ValueError, match="unknown blob store"):
-            make_blob_store("punched-cards")
-        assert set(STORE_KINDS) == {"memory", "disk", "tiered"}
+        for kind in ("punched-cards", "tiered"):
+            with pytest.raises(ValueError, match="unknown blob store") as err:
+                make_blob_store(kind, tmp_path / "t")
+            assert "'memory'" in str(err.value) and "'disk'" in str(err.value)
+        assert STORE_KINDS == ("memory", "disk")
         disk.close()
-        tiered.close()
 
 
 class TestDiskBlobStore:
@@ -160,55 +155,6 @@ class TestDiskBlobStore:
         assert directory.exists()
         store.close()
         assert not directory.exists()
-
-    def test_deepcopy_is_read_replica(self, tmp_path):
-        store = DiskBlobStore(tmp_path / "dc")
-        store[1] = b"original"
-        clone = copy.deepcopy(store)
-        assert clone[1] == b"original"
-        clone.close()  # must not delete the shared files
-        assert store[1] == b"original"
-        store.close()
-
-
-class TestTieredBlobStore:
-    def test_write_through_and_promotion(self, tmp_path):
-        store = TieredBlobStore(tmp_path / "t", hot_bytes=300)
-        store[1] = b"a" * 100
-        store[2] = b"b" * 100
-        store[3] = b"c" * 100
-        assert store.hot_hits == 0
-        assert store[1] == b"a" * 100  # hot hit: all three fit exactly
-        assert store.hot_hits == 1
-        store[4] = b"d" * 100  # overflows: LRU (2) demotes
-        assert store[2] == b"b" * 100  # miss, served from disk
-        assert store.hot_misses == 1
-        store.close()
-
-    def test_demotion_is_deterministic(self, tmp_path):
-        def churn(directory):
-            store = TieredBlobStore(directory, hot_bytes=256)
-            rng = np.random.default_rng(0)
-            for step in range(200):
-                uid = int(rng.integers(0, 20))
-                if rng.random() < 0.4:
-                    store[uid] = bytes([step % 251]) * int(rng.integers(16, 128))
-                elif uid in store:
-                    store[uid]
-            trace = (store.hot_hits, store.hot_misses, sorted(store._hot))
-            store.close()
-            return trace
-
-        assert churn(tmp_path / "a") == churn(tmp_path / "b")
-
-    def test_hot_cache_bounded(self, tmp_path):
-        store = TieredBlobStore(tmp_path / "b", hot_bytes=1000)
-        for uid in range(100):
-            store[uid] = b"q" * 400
-        assert store._hot_total <= 1000
-        assert store.resident_bytes() < store.total_bytes
-        assert len(store) == 100
-        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +253,7 @@ class TestRegistryOverStores:
                 )
             )
             store.close()
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
     def test_stored_bytes_counter_matches_recomputed_sum(self, tmp_path):
         for store in _stores(tmp_path):

@@ -364,3 +364,34 @@ def test_fleet_serve_rejects_out_of_range_fields(uid, field, size, at_size):
         fleet.registry.register(uid, fleet.pelican.users[uid].endpoint.predictor.model)
     with pytest.raises(ValueError, match=f"^{field} {value} outside"):
         fleet.serve(requests)
+
+
+@pytest.mark.parametrize("uid", [0, 1])  # local, cloud
+class TestMalformedRequests:
+    """A malformed request next to a valid one fails the flush with an
+    error that names the problem, instead of being answered wrongly."""
+
+    def _serve(self, uid, bad):
+        fleet = _fleet()
+        if uid % 2:
+            fleet.registry.register(uid, fleet.pelican.users[uid].endpoint.predictor.model)
+        valid = QueryRequest(uid, _history(np.random.default_rng(9), 2), 3)
+        return fleet, [valid, bad]
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_raises(self, uid, k):
+        fleet, requests = self._serve(uid, QueryRequest(uid, _history(np.random.default_rng(3), 2), k))
+        with pytest.raises(ValueError, match=f"k={k}"):
+            fleet.serve(requests)
+        with pytest.raises(ValueError, match=f"k={k}"):
+            fleet.serve_looped(requests)
+
+    def test_unknown_user_raises_with_context(self, uid):
+        fleet, requests = self._serve(uid, QueryRequest(999, _history(np.random.default_rng(3), 2), 3))
+        with pytest.raises(KeyError, match="user 999 is not onboarded"):
+            fleet.serve(requests)
+
+    def test_empty_history_raises(self, uid):
+        fleet, requests = self._serve(uid, QueryRequest(uid, (), 3))
+        with pytest.raises(ValueError, match="at least one session"):
+            fleet.serve(requests)

@@ -42,6 +42,15 @@ class TestParser:
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command, *flag])
 
+    def test_store_choices(self):
+        for command in ("fleet", "serve-load"):
+            assert build_parser().parse_args([command]).store == "memory"
+            args = build_parser().parse_args([command, "--store", "disk"])
+            assert args.store == "disk"
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([command, "--store", "tiered"])
+            assert exit_info.value.code == 2
+
     def test_placement_choices(self):
         args = build_parser().parse_args(["fleet", "--placement", "least_loaded"])
         assert args.placement == "least_loaded"
