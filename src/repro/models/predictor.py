@@ -112,13 +112,14 @@ class NextLocationPredictor:
         once per window: identical rankings, confidences equal to within
         BLAS shape-dependent round-off (DESIGN.md §7).
         """
-        if not histories:
+        if len(histories) == 0:
             return []
         log_probs = self.log_confidences_encoded(self.encode_histories(histories))
         order = top_k_indices(log_probs, k, axis=-1)
+        confidences = np.exp(log_probs[np.arange(len(log_probs))[:, None], order])
         return [
-            [(int(loc), float(np.exp(row_logp[loc]))) for loc in row_order]
-            for row_logp, row_order in zip(log_probs, order)
+            list(zip(locations, probs))
+            for locations, probs in zip(order.tolist(), confidences.tolist())
         ]
 
     # ------------------------------------------------------------------

@@ -61,7 +61,7 @@ and reference paths report *identical* MAC totals — asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +128,41 @@ def _cell_step(
     np.multiply(gt[..., 3 * H : 4 * H], tct, out=h_out)
 
 
+#: The most rows a merged projection GEMM of :func:`_shared_runs` holds:
+#: the tallest product ``tests/nn/test_row_slice_rule.py`` checks the
+#: row-slice rule on.  A single span taller than this still runs alone.
+MAX_RUN_ROWS = 128
+
+
+def _shared_runs(
+    spans: Sequence[Tuple[int, int]], keys: Sequence[Any], steps: int
+) -> List[Tuple[int, int]]:
+    """Split ``spans`` into runs ``(first, stop)`` that take one input
+    projection GEMM: consecutive spans with equal ``keys`` (the ids of one
+    ``w_ih``/``bias`` pair — a shared trunk, DESIGN.md §7) whose products
+    all have ``steps · rows ≥ 2`` rows, up to :data:`MAX_RUN_ROWS` rows a
+    run.  A 1-row span is a run of its own.
+
+    The row-slice rule makes a run one GEMM: the rows of a ≥2-row GEMM
+    equal the same rows of any taller GEMM over the same weights bit for
+    bit.  A 1-row product takes BLAS's gemv path, which rounds
+    differently, so it is never merged.
+    """
+    mergeable = [steps * (hi - lo) >= 2 for lo, hi in spans]
+    runs = []
+    first = 0
+    for s in range(1, len(spans) + 1):
+        if (
+            s == len(spans)
+            or keys[s] != keys[first]
+            or not (mergeable[s] and mergeable[s - 1])
+            or steps * (spans[s][1] - spans[first][0]) > MAX_RUN_ROWS
+        ):
+            runs.append((first, s))
+            first = s
+    return runs
+
+
 def _layer_forward(
     X: np.ndarray,
     spans: Sequence[Tuple[int, int]],
@@ -140,23 +175,29 @@ def _layer_forward(
 
     Rows ``spans[s] = (lo, hi)`` run through ``weights[s] = (w_ih, w_hh,
     bias)``; the spans tile ``0..N`` and share the hidden size.  Each span
-    keeps the GEMMs a call over its rows alone would issue — one
+    keeps the arithmetic a call over its rows alone would do — one
     ``(T·B, F) @ W_ih`` for all timesteps, then one ``(B, H) @ W_hh`` per
     step (none at ``t == 0`` from the implicit zero state, ``state is
-    None``) — written into its slice of tick-wide buffers.  The ``+ xw``
-    and :func:`_cell_step` run once over all ``N`` rows, so every span's
-    rows are bit-identical to running it alone.  Elementwise work writes
-    straight into the caches via ``out=`` to keep the numpy call count —
-    the dominant cost at these batch sizes — low.
+    None``) — written into its slice of tick-wide buffers.  Consecutive
+    spans over the same ``w_ih``/``bias`` objects (a shared trunk) take
+    one projection GEMM per run of :func:`_shared_runs`; every span still
+    books its own GEMMs with :func:`~repro.nn.profiler.record_gemm`.  The
+    ``+ xw`` and :func:`_cell_step` run once over all ``N`` rows, so
+    every span's rows are bit-identical to running it alone.  Elementwise
+    work writes straight into the caches via ``out=`` to keep the numpy
+    call count — the dominant cost at these batch sizes — low.
     """
     T, N, F = X.shape
     H = weights[0][1].shape[0]
     xw = np.empty((T, N, 4 * H), dtype=X.dtype)
-    for (lo, hi), (w_ih, _, bias) in zip(spans, weights):
-        B = hi - lo
-        proj = X[:, lo:hi].reshape(T * B, F) @ w_ih
-        profiler.record_gemm(T * B, F, 4 * H)
-        np.add(proj.reshape(T, B, 4 * H), bias, out=xw[:, lo:hi])
+    keys = [(id(w_ih), id(bias)) for w_ih, _, bias in weights]
+    for first, stop in _shared_runs(spans, keys, T):
+        lo, hi = spans[first][0], spans[stop - 1][1]
+        w_ih, _, bias = weights[first]
+        for a, b in spans[first:stop]:
+            profiler.record_gemm(T * (b - a), F, 4 * H)
+        proj = X[:, lo:hi].reshape(T * (hi - lo), F) @ w_ih
+        np.add(proj.reshape(T, hi - lo, 4 * H), bias, out=xw[:, lo:hi])
 
     hs = np.empty((T, N, H), dtype=X.dtype)
     # Without a cache the per-step activations are only read within their

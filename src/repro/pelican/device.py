@@ -22,6 +22,7 @@ from repro.models.personalize import (
     PersonalizationMethod,
     personalize,
 )
+from repro.models.trunk import Trunk
 from repro.nn.profiler import flop_counter
 from repro.nn.serialization import deserialize_state
 from repro.pelican.cloud import ResourceReport
@@ -62,6 +63,12 @@ def _decode_general(blob: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]
     for array in state.values():
         array.setflags(write=False)
     return state, metadata
+
+
+def general_trunk(blob: bytes) -> Trunk:
+    """The shared read-only trunk of a published general checkpoint: the
+    decoded copy's main LSTM stack (DESIGN.md §7)."""
+    return Trunk(_decode_general(blob)[0])
 
 
 def rebuild_general_model(blob: bytes, rng: np.random.Generator) -> NextLocationModel:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import accumulate
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,29 +166,40 @@ def _compute_report(macs: int) -> ResourceReport:
 TickGroup = Tuple[NextLocationModel, Sequence[Tuple[SessionFeatures, ...]], int]
 
 
-class _ServedRows(NextLocationPredictor):
-    """A predictor over log-probabilities a tick kernel already computed.
+class _LogProbRows(NextLocationPredictor):
+    """A predictor whose queries are rows of log-probabilities a tick
+    kernel already computed, so a bucket is ranked by
+    :meth:`NextLocationPredictor.top_k_batch` — the one ranking and
+    answer-building definition every serving path uses."""
 
-    Its :meth:`top_k_batch` ranks the next ``len(histories)`` rows, so a
-    bucket's groups, ranked in row order, go through the one ranking and
-    answer-building definition every other serving path uses.
-    """
-
-    def __init__(self, spec: FeatureSpec, log_probs: np.ndarray) -> None:
+    def __init__(self, spec: FeatureSpec) -> None:
         self.model = None
         self.spec = spec
         self.query_count = 0
-        self._log_probs = log_probs
-        self._next = 0
 
-    def encode_histories(self, histories: Sequence[Any]) -> np.ndarray:
-        start = self._next
-        self._next += len(histories)
-        return self._log_probs[start : self._next]
+    def encode_histories(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
     def log_confidences_encoded(self, batch: np.ndarray) -> np.ndarray:
-        self.query_count += len(batch)
         return batch
+
+
+def _rank_rows(
+    spec: FeatureSpec, log_probs: np.ndarray, ks: Sequence[int]
+) -> List[List[Tuple[int, float]]]:
+    """Each row's top-``ks[row]`` answer, one :meth:`top_k_batch` call per
+    distinct ``k``: a row's ranking depends only on its scores and its k."""
+    ranker = _LogProbRows(spec)
+    distinct = dict.fromkeys(ks)
+    if len(distinct) == 1:
+        return ranker.top_k_batch(log_probs, ks[0])
+    answers: List[List[Tuple[int, float]]] = [[] for _ in ks]
+    picks = np.asarray(ks)
+    for k in distinct:
+        rows = np.flatnonzero(picks == k)
+        for row, answer in zip(rows.tolist(), ranker.top_k_batch(log_probs[rows], k)):
+            answers[row] = answer
+    return answers
 
 
 def dispatch_tick(
@@ -199,18 +210,21 @@ def dispatch_tick(
     per shape bucket (DESIGN.md §7).
 
     Groups are bucketed by ``(stack key, window length)`` — same dtype,
-    layer shapes and head — in arrival order.  A bucket's windows are
-    encoded in one :meth:`~repro.data.features.FeatureSpec.encode_windows`
-    call and answered by :func:`~repro.nn.fused.grouped_infer_logits`,
-    which keeps every group's GEMMs at the per-model shapes; temperature
-    and log-softmax then run over the bucket's rows at once, and each
-    group is ranked by :meth:`NextLocationPredictor.top_k_batch` over its
-    rows.  Answers are bit-identical to :func:`dispatch_model_batch`
-    group by group, and each group books the MACs that path measures
-    (:func:`group_macs`).  The returned list aligns with ``groups``:
-    ``None`` marks a reference-backend model, which the caller serves
-    per model.  A model outside the spec's location domain raises, as a
-    predictor over it would.
+    layer shapes and head — in arrival order, and within a bucket the
+    groups over one shared trunk (:class:`~repro.models.trunk.Trunk`) are
+    placed next to each other, so the kernel projects each trunk layer
+    once for all of them.  A bucket's windows are encoded in one
+    :meth:`~repro.data.features.FeatureSpec.encode_windows` call and
+    answered by :func:`~repro.nn.fused.grouped_infer_logits`, which keeps
+    every group's arithmetic at the per-model shapes; temperature and
+    log-softmax then run over the bucket's rows at once, and the bucket
+    is ranked by :meth:`NextLocationPredictor.top_k_batch`, once per
+    distinct ``k``.  Answers are bit-identical to
+    :func:`dispatch_model_batch` group by group, and each group books the
+    MACs that path measures (:func:`group_macs`).  The returned list
+    aligns with ``groups``: ``None`` marks a reference-backend model,
+    which the caller serves per model.  A model outside the spec's
+    location domain raises, as a predictor over it would.
     """
     served: List[Optional[Tuple[List[List[Tuple[int, float]]], ResourceReport]]] = [
         None
@@ -223,6 +237,15 @@ def dispatch_tick(
             buckets.setdefault((key, len(histories[0])), []).append(pos)
 
     for (key, steps), members in buckets.items():
+        # Groups over one trunk sit together, in order of its first
+        # arrival, so the kernel projects each of its layers in one GEMM.
+        # The sort is stable.
+        first_seen: Dict[int, int] = {}
+        members.sort(
+            key=lambda pos: first_seen.setdefault(
+                id(groups[pos][0].lstm.cells[0].weight_ih.data), len(first_seen)
+            )
+        )
         models = [groups[pos][0] for pos in members]
         sizes = [len(groups[pos][1]) for pos in members]
         bounds = list(accumulate(sizes, initial=0))
@@ -235,12 +258,12 @@ def dispatch_tick(
         # per-model path's skip at temperature 1.0.
         temps = np.array([m.privacy_temperature for m in models], dtype=dtype)
         logits /= np.repeat(temps, sizes)[:, None]
-        ranker = _ServedRows(spec, log_softmax_np(logits))
-        for pos, size in zip(members, sizes):
-            _, histories, k = groups[pos]
+        ks = [groups[pos][2] for pos, size in zip(members, sizes) for _ in range(size)]
+        answers = _rank_rows(spec, log_softmax_np(logits), ks)
+        for pos, lo, hi in zip(members, bounds[:-1], bounds[1:]):
             served[pos] = (
-                ranker.top_k_batch(histories, k),
-                _compute_report(group_macs(key, steps, size)),
+                answers[lo:hi],
+                _compute_report(group_macs(key, steps, hi - lo)),
             )
     return served
 

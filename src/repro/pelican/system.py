@@ -26,6 +26,7 @@ from repro.data.dataset import SequenceDataset
 from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models.general import GeneralModelConfig
 from repro.models.personalize import PersonalizationConfig, PersonalizationMethod
+from repro.models.trunk import Trunk
 from repro.pelican.cloud import CloudTrainer, ResourceReport
 from repro.pelican.deployment import (
     DeploymentMode,
@@ -34,7 +35,7 @@ from repro.pelican.deployment import (
     deploy_cloud_delta,
     deploy_local,
 )
-from repro.pelican.device import DevicePersonalizer, DeviceProfile
+from repro.pelican.device import DevicePersonalizer, DeviceProfile, general_trunk
 from repro.pelican.privacy import DEFAULT_PRIVACY_TEMPERATURE
 from repro.pelican.transport import Channel
 from repro.pelican.updates import update_personal_model
@@ -81,6 +82,16 @@ class Pelican:
         #: next delta redeploy encodes against.  Only populated when
         #: ``config.delta_updates`` is on.
         self._deployed_blobs: Dict[int, bytes] = {}
+
+    @property
+    def trunk(self) -> Optional[Trunk]:
+        """The published general model's LSTM stack, read-only: every
+        model this orchestrator deploys shares the cells that still equal
+        it bit for bit (DESIGN.md §7).  Derived from the published
+        checkpoint alone, so every shard holding it shares one trunk."""
+        if self._general_blob is None:
+            return None
+        return general_trunk(self._general_blob)
 
     # ------------------------------------------------------------------
     # Phase 1
@@ -144,6 +155,7 @@ class Pelican:
                 endpoint, _ = deploy_cloud(personal, self.spec, self.channel, rng)
         else:
             endpoint = deploy_local(personal, self.spec)
+        self._share_trunk(endpoint)
         user = OnboardedUser(
             user_id=user_id,
             endpoint=endpoint,
@@ -153,6 +165,13 @@ class Pelican:
         )
         self.users[user_id] = user
         return user
+
+    def _share_trunk(self, endpoint: ServiceEndpoint) -> None:
+        """Point the deployed model's cells that still equal the trunk at
+        its read-only arrays (DESIGN.md §7)."""
+        trunk = self.trunk
+        if trunk is not None:
+            trunk.attach(endpoint.predictor.model)
 
     # ------------------------------------------------------------------
     # Service queries
@@ -203,6 +222,7 @@ class Pelican:
                 endpoint, _ = deploy_cloud(result.model, self.spec, self.channel, rng)
         else:
             endpoint = deploy_local(result.model, self.spec)
+        self._share_trunk(endpoint)
         # The user keeps their query ledger across redeploys: an update
         # swaps the model behind the endpoint, it doesn't reset the books.
         endpoint.stats = user.endpoint.stats

@@ -31,6 +31,7 @@ from repro.pelican.clock import QueryRequest
 from repro.pelican.cloud import ResourceReport
 from repro.pelican.deployment import ServiceEndpoint
 from repro.pelican.dispatch import ProbePayload, dispatch_model_batch, dispatch_tick
+from repro.pelican.stacking import stack_key
 from repro.pelican.system import OnboardedUser
 
 SPEC = FeatureSpec(num_locations=7)
@@ -154,7 +155,8 @@ class TestDispatchTick:
 
     def test_ranking_goes_through_top_k_batch(self, monkeypatch):
         """Served answers are built by NextLocationPredictor.top_k_batch,
-        so anything that changes it changes tick answers too."""
+        so anything that changes it changes tick answers too; the tick
+        calls it once per shape bucket and distinct k."""
         groups = _random_groups(3, num_groups=6)
         original = NextLocationPredictor.top_k_batch
         calls = []
@@ -165,9 +167,9 @@ class TestDispatchTick:
 
         monkeypatch.setattr(NextLocationPredictor, "top_k_batch", spy)
         served = dispatch_tick(SPEC, groups)
-        assert calls and sum(calls) == sum(
-            len(h) for (m, h, _), r in zip(groups, served) if r is not None
-        )
+        fused = [(m, h, k) for (m, h, k), r in zip(groups, served) if r is not None]
+        assert sum(calls) == sum(len(h) for _, h, _ in fused)
+        assert len(calls) == len({(stack_key(m), len(h[0]), k) for m, h, k in fused})
 
     def test_domain_mismatched_model_raises(self):
         groups = _random_groups(1, num_groups=3)
