@@ -38,6 +38,8 @@ from repro.data import CorpusConfig, SpatialLevel, generate_corpus
 from repro.eval import responses_match
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
+    CLOUD_SERVER,
+    LOW_END_PHONE,
     Cluster,
     DeploymentMode,
     Fleet,
@@ -148,11 +150,11 @@ def main() -> None:
     ratio = fr.cloud_compute.macs / max(fr.device_compute.macs, 1)
     print(
         f"cloud : {fr.cloud_compute.macs / 1e9:.2f}B MACs "
-        f"({fr.cloud_simulated_seconds:.2f}s simulated on a {fr.cloud_profile.name})"
+        f"({fr.cloud_simulated_seconds:.2f}s simulated on a {CLOUD_SERVER.name})"
     )
     print(
         f"device: {fr.device_compute.macs / 1e9:.2f}B MACs "
-        f"({fr.device_simulated_seconds:.1f}s simulated on a {fr.device_profile.name})"
+        f"({fr.device_simulated_seconds:.1f}s simulated on a {LOW_END_PHONE.name})"
     )
     print(f"cloud/device MAC ratio: {ratio:.1f}x")
     print(

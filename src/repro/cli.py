@@ -21,7 +21,7 @@ Examples::
     python -m repro demo --seed 7
     python -m repro experiment table3 --scale tiny
     python -m repro fleet --scale tiny --fast
-    python -m repro fleet --scale tiny --fast --shards 4 --placement hash
+    python -m repro fleet --scale tiny --fast --shards 4
     python -m repro fleet --scale tiny --fast --store disk
     python -m repro serve-load --scale tiny --fast
     python -m repro serve-load --scale tiny --fast --shards 2 --policy lossy_network
@@ -45,7 +45,6 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.data import CorpusConfig, generate_corpus, save_ap_sessions
-from repro.pelican.placement import PLACEMENT_POLICIES
 from repro.pelican.storage import STORE_KINDS
 from repro.eval import (
     ExperimentScale,
@@ -207,7 +206,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     scale = _SCALES[args.scale]()
     capacity = args.capacity if args.capacity > 0 else None
-    shards = f", {args.shards} shards ({args.placement})" if args.shards > 1 else ""
+    shards = f", {args.shards} shards" if args.shards > 1 else ""
     print(
         f"[fleet] building deployment at scale={args.scale} "
         f"({'fast setup, ' if args.fast else ''}"
@@ -220,11 +219,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         registry_capacity=capacity,
         fast_setup=args.fast,
         num_shards=args.shards,
-        placement=args.placement,
         resilience=args.resilience,
         deadline=args.deadline,
         store=args.store,
-        delta_updates=args.delta_updates,
     )
     print(render_fleet(result))
     return 0 if result.parity else 1
@@ -238,7 +235,7 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
         return 2
     capacity = args.capacity if args.capacity > 0 else None
     queue_capacity = args.queue_capacity if args.queue_capacity > 0 else None
-    shards = f", {args.shards} shards ({args.placement})" if args.shards > 1 else ""
+    shards = f", {args.shards} shards" if args.shards > 1 else ""
     print(
         f"[serve-load] generating {args.devices_per_user} devices/user of "
         f"{'/'.join(args.regimes)} traffic at rate {args.rate:g}/s over "
@@ -266,7 +263,6 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         registry_capacity=capacity,
         num_shards=args.shards,
-        placement=args.placement,
         store=args.store,
         fast_setup=args.fast,
     )
@@ -297,7 +293,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         fast_setup=args.fast,
         chaos_seed=args.chaos_seed,
         num_shards=args.shards,
-        placement=args.placement,
         resilience=args.resilience,
         deadline=args.deadline,
     )
@@ -343,7 +338,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         queries_per_user=args.queries_per_user,
         registry_capacity=capacity,
         num_shards=args.shards,
-        placement=args.placement,
         fast_setup=args.fast,
         resilience=args.resilience,
         deadline=args.deadline,
@@ -361,7 +355,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _add_stack_args(
     subparser: argparse.ArgumentParser, capacity_default: int
 ) -> None:
-    """The shared serving-stack shape: ``--capacity/--shards/--placement``."""
+    """The shared serving-stack shape: ``--capacity/--shards``."""
     subparser.add_argument(
         "--capacity", type=int, default=capacity_default,
         help="cloud registry live-model capacity per shard; 0 means "
@@ -369,11 +363,7 @@ def _add_stack_args(
     )
     subparser.add_argument(
         "--shards", type=int, default=1,
-        help="cloud shard count; >1 serves through a placement-routed cluster (default 1)",
-    )
-    subparser.add_argument(
-        "--placement", choices=sorted(PLACEMENT_POLICIES), default="hash",
-        help="user->shard placement policy when --shards > 1 (default hash)",
+        help="cloud shard count; >1 serves through a hash-placed cluster (default 1)",
     )
 
 
@@ -449,11 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable blob store behind the registry: memory or disk "
         "(mmap-backed segments); answers and signatures are bit-identical "
         "across stores (default memory)",
-    )
-    fleet.add_argument(
-        "--delta-updates", action="store_true",
-        help="ship cloud redeploys as weight deltas against the prior blob "
-        "(opt-in: books fewer network bytes by design)",
     )
     _add_resilience_args(fleet)
     fleet.set_defaults(func=_cmd_fleet)

@@ -236,7 +236,6 @@ def run_audit_suite(
     queries_per_user: int = 2,
     registry_capacity: Optional[int] = 2,
     num_shards: int = 1,
-    placement: str = "hash",
     max_instances: Optional[int] = None,
     fast_setup: bool = True,
     ks: Tuple[int, ...] = (1, 2, 3),
@@ -337,7 +336,6 @@ def run_audit_suite(
                     copy.deepcopy(pelican),
                     training_report,
                     num_shards=num_shards,
-                    placement=placement,
                     registry_capacity=registry_capacity,
                     policy=chaos_policy(policy, seed=chaos_seed),
                     resilience=res_policy,

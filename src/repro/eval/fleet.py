@@ -72,7 +72,6 @@ def trained_pelican(
     scale: ExperimentScale,
     corpus: MobilityCorpus,
     fast_setup: bool,
-    delta_updates: bool = False,
 ) -> Tuple[Pelican, ResourceReport]:
     """A userless Pelican with its general model trained on ``corpus``'s
     contributors, plus the training cost.  The scenario and audit suites
@@ -87,7 +86,6 @@ def trained_pelican(
             general=general,
             personalization=personalization,
             seed=scale.corpus.seed,
-            delta_updates=delta_updates,
         ),
     )
     train, _ = corpus.contributor_dataset(DEFAULT_LEVEL).split_by_user(0.8)
@@ -98,7 +96,6 @@ def build_cell_fleet(
     pelican: Pelican,
     training_report: ResourceReport,
     num_shards: int = 1,
-    placement: str = "hash",
     registry_capacity: Optional[int] = 64,
     policy: Optional[ChaosPolicy] = None,
     resilience: Optional[ResiliencePolicy] = None,
@@ -127,7 +124,6 @@ def build_cell_fleet(
     cluster = Cluster.from_trained(
         pelican,
         num_shards=num_shards,
-        placement=placement,
         registry_capacity=registry_capacity,
         policy=policy,
         resilience=resilience,
@@ -193,10 +189,8 @@ def build_fleet_workload(
     k: int = 3,
     fast_setup: bool = False,
     num_shards: int = 1,
-    placement: str = "hash",
     resilience: Optional[ResiliencePolicy] = None,
     store: str = "memory",
-    delta_updates: bool = False,
 ) -> FleetWorkload:
     """Stand up a fleet (or sharded cluster) at ``scale`` and derive its
     query workload.  ``resilience`` optionally attaches a fault-handling
@@ -208,16 +202,14 @@ def build_fleet_workload(
     requests drawn round-robin from their held-out windows — the
     interleaving a cloud actually sees from concurrent devices.
 
-    ``num_shards > 1`` builds a :class:`~repro.pelican.cluster.Cluster`
-    under the given ``placement`` policy instead of a single
+    ``num_shards > 1`` builds a hash-placed
+    :class:`~repro.pelican.cluster.Cluster` instead of a single
     :class:`~repro.pelican.fleet.Fleet`; responses are bit-identical
     either way (DESIGN.md §9), only the books shard.
 
     ``store`` selects the durable blob store behind the registry
     (DESIGN.md §14: ``memory`` / ``disk``); responses and signatures are
-    bit-identical across stores.  ``delta_updates`` ships
-    cloud redeploys as weight deltas — an opt-in that legitimately
-    lowers network-byte books.
+    bit-identical across stores.
 
     ``fast_setup`` cuts training to :data:`FAST_SETUP_EPOCHS` epochs:
     model *dimensions* (and therefore serving cost) still match the
@@ -226,9 +218,8 @@ def build_fleet_workload(
     """
     corpus = generate_corpus(scale.corpus)
     fleet = build_cell_fleet(
-        *trained_pelican(scale, corpus, fast_setup, delta_updates=delta_updates),
+        *trained_pelican(scale, corpus, fast_setup),
         num_shards=num_shards,
-        placement=placement,
         registry_capacity=registry_capacity,
         resilience=resilience,
         store=store,
@@ -288,11 +279,9 @@ def run_fleet_throughput(
     registry_capacity: Optional[int] = 64,
     fast_setup: bool = False,
     num_shards: int = 1,
-    placement: str = "hash",
     resilience: Optional[str] = None,
     deadline: Optional[float] = None,
     store: str = "memory",
-    delta_updates: bool = False,
 ) -> FleetThroughputResult:
     """Build a fleet at ``scale`` and compare both serving paths once."""
     res_policy = named_resilience(resilience, scale.corpus.seed, deadline)
@@ -302,10 +291,8 @@ def run_fleet_throughput(
         registry_capacity=registry_capacity,
         fast_setup=fast_setup,
         num_shards=num_shards,
-        placement=placement,
         resilience=res_policy,
         store=store,
-        delta_updates=delta_updates,
     )
     fleet, requests = workload.fleet, workload.requests
 

@@ -10,6 +10,7 @@ from repro.eval.experiments import (
     OverheadResult,
     PersonalizationRow,
 )
+from repro.pelican.device import CLOUD_SERVER, LOW_END_PHONE
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -245,10 +246,10 @@ def render_fleet(result: "FleetThroughputResult") -> str:
         "per-side attribution:",
         f"  cloud : {report.cloud_compute.macs / 1e6:10.1f} MMACs, "
         f"{report.cloud_simulated_seconds:.3f}s simulated "
-        f"({report.cloud_profile.name})",
+        f"({CLOUD_SERVER.name})",
         f"  device: {report.device_compute.macs / 1e6:10.1f} MMACs, "
         f"{report.device_simulated_seconds:.3f}s simulated "
-        f"({report.device_profile.name})",
+        f"({LOW_END_PHONE.name})",
         f"  network: {report.network_seconds:.2f}s simulated, "
         f"{report.network_bytes_up / 1e6:.2f} MB up / "
         f"{report.network_bytes_down / 1e6:.2f} MB down",

@@ -148,14 +148,12 @@ def _run_cell(
     chaos_seed: int,
     registry_capacity: Optional[int],
     num_shards: int = 1,
-    placement: str = "hash",
     resilience: Optional[ResiliencePolicy] = None,
 ):
     fleet = build_cell_fleet(
         copy.deepcopy(pelican),
         training_report,
         num_shards=num_shards,
-        placement=placement,
         registry_capacity=registry_capacity,
         policy=chaos_policy(policy_name, seed=chaos_seed),
         resilience=resilience,
@@ -180,7 +178,6 @@ def run_scenario_suite(
     fast_setup: bool = True,
     chaos_seed: int = 0,
     num_shards: int = 1,
-    placement: str = "hash",
     resilience: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> ScenarioSuiteResult:
@@ -226,8 +223,7 @@ def run_scenario_suite(
             fleet, responses, hit_rate, num_queries = _run_cell(
                 pelican, training_report, schedule, targets, policy_name,
                 chaos_seed, registry_capacity,
-                num_shards=num_shards, placement=placement,
-                resilience=res_policy,
+                num_shards=num_shards, resilience=res_policy,
             )
             stats = fleet.resilience_stats
             availability = measure_availability(

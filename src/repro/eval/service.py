@@ -115,7 +115,6 @@ def run_service_load(
     deadline: Optional[float] = None,
     registry_capacity: Optional[int] = 64,
     num_shards: int = 1,
-    placement: str = "hash",
     store: str = "memory",
     fast_setup: bool = False,
 ) -> ServiceLoadResult:
@@ -167,7 +166,6 @@ def run_service_load(
         pelican,
         training_report,
         num_shards=num_shards,
-        placement=placement,
         registry_capacity=registry_capacity,
         policy=chaos_policy(policy, seed=scale.corpus.seed),
         resilience=res_policy,

@@ -16,9 +16,6 @@ cloud deployment (§V-A3).  Two codecs coexist (DESIGN.md §14):
   whatever dtype the dtype policy gave each parameter (float64/32/16).
 
 :func:`deserialize_state` sniffs the magic and accepts either format.
-Delta blobs (magic ``RBD2``) carry only the tensors that changed between
-two format-2 checkpoints; :func:`apply_state_delta` reconstitutes the full
-format-2 blob byte-for-byte.
 """
 
 from __future__ import annotations
@@ -35,10 +32,9 @@ from repro.nn.module import Module
 
 _META_KEY = "__meta__"
 
-#: Magic prefixes: zip archives (npz) start with ``PK\x03\x04``; the compact
-#: and delta codecs claim their own four bytes.
+#: Magic prefix: zip archives (npz) start with ``PK\x03\x04``; the compact
+#: codec claims its own four bytes.
 COMPACT_MAGIC = b"RBC2"
-DELTA_MAGIC = b"RBD2"
 _ALIGN = 64
 # magic (4) + header length (uint32) + logical bytes (uint64)
 _FIXED_HEADER = struct.Struct("<4sIQ")
@@ -74,11 +70,6 @@ def is_compact(blob: Union[bytes, memoryview]) -> bool:
     return bytes(blob[:4]) == COMPACT_MAGIC
 
 
-def is_delta(blob: Union[bytes, memoryview]) -> bool:
-    """True when ``blob`` is a delta blob produced by :func:`state_delta`."""
-    return bytes(blob[:4]) == DELTA_MAGIC
-
-
 def logical_nbytes(blob: Union[bytes, memoryview]) -> int:
     """The *logical* (npz-equivalent) byte size of a checkpoint blob.
 
@@ -105,8 +96,8 @@ def serialize_state_compact(
     """Serialize a state dict to the format-2 compact layout.
 
     The layout is deterministic for a given ``(state, metadata,
-    logical_bytes)`` — unlike npz there are no archive timestamps — which is
-    what lets delta reconstitution be checked byte-for-byte.
+    logical_bytes)`` — unlike npz there are no archive timestamps — so a
+    stored blob can be checked byte-for-byte against a fresh transcode.
     """
     tensors: List[Tuple[str, bytes, str, Tuple[int, ...]]] = []
     for name, value in state.items():
@@ -190,80 +181,6 @@ def encode_compact(blob: bytes) -> bytes:
         return blob
     state, metadata = deserialize_state(blob)
     return serialize_state_compact(state, metadata, logical_bytes=len(blob))
-
-
-# ----------------------------------------------------------------------
-# Delta blobs: ship only changed tensors between two format-2 checkpoints
-# ----------------------------------------------------------------------
-def state_delta(new_blob: bytes, prior_blob: bytes) -> bytes:
-    """A delta blob carrying only the tensors that changed.
-
-    Both arguments must be format-2 blobs with identical tensor names and
-    shapes (a redeploy never changes the architecture).  The delta embeds
-    everything needed for :func:`apply_state_delta` to rebuild ``new_blob``
-    byte-for-byte from ``prior_blob``.
-    """
-    new_meta, new_table = _parse_compact(new_blob)
-    _, prior_table = _parse_compact(prior_blob)
-    prior_rows = {row[0]: row for row in prior_table}
-    if sorted(prior_rows) != sorted(row[0] for row in new_table):
-        raise ValueError("delta requires matching tensor names")
-
-    changed: List[Tuple[List[Any], bytes]] = []
-    for row in new_table:
-        name, dtype, shape, offset, nbytes = row
-        raw = bytes(new_blob[offset : offset + nbytes])
-        p_name, p_dtype, p_shape, p_offset, p_nbytes = prior_rows[name]
-        prior_raw = bytes(prior_blob[p_offset : p_offset + p_nbytes])
-        if dtype != p_dtype or shape != p_shape or raw != prior_raw:
-            changed.append(([name, dtype, shape, 0, nbytes], raw))
-
-    header_rows = []
-    cursor = 0
-    for row, raw in changed:
-        cursor += _pad(cursor)
-        header_rows.append([row[0], row[1], row[2], cursor, row[4]])
-        cursor += len(raw)
-    header = json.dumps(
-        {
-            "meta": new_meta,
-            "order": [row[0] for row in new_table],
-            "logical": logical_nbytes(new_blob),
-            "changed": header_rows,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    out = io.BytesIO()
-    out.write(_FIXED_HEADER.pack(DELTA_MAGIC, len(header), logical_nbytes(new_blob)))
-    out.write(header)
-    cursor = 0
-    for (name, dtype, shape, offset, nbytes), raw in zip(header_rows, (raw for _, raw in changed)):
-        out.write(b"\x00" * (offset - cursor))
-        out.write(raw)
-        cursor = offset + len(raw)
-    return out.getvalue()
-
-
-def apply_state_delta(prior_blob: bytes, delta_blob: bytes) -> bytes:
-    """Reconstitute the full format-2 blob a delta was computed against."""
-    magic, header_len, _ = _FIXED_HEADER.unpack_from(delta_blob[: _FIXED_HEADER.size])
-    if magic != DELTA_MAGIC:
-        raise ValueError("not a delta blob")
-    start = _FIXED_HEADER.size
-    header = json.loads(delta_blob[start : start + header_len].decode("utf-8"))
-    payload_base = start + header_len
-
-    prior_state, _ = deserialize_state_compact(prior_blob)
-    state: Dict[str, np.ndarray] = {}
-    changed = {row[0]: row for row in header["changed"]}
-    for name in header["order"]:
-        if name in changed:
-            _, dtype, shape, offset, nbytes = changed[name]
-            raw = delta_blob[payload_base + offset : payload_base + offset + nbytes]
-            state[name] = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(tuple(shape))
-        else:
-            state[name] = prior_state[name]
-    return serialize_state_compact(state, header["meta"], logical_bytes=header["logical"])
 
 
 def save_module(module: Module, path: Union[str, Path], metadata: Dict[str, Any] | None = None) -> int:

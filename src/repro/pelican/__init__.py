@@ -46,15 +46,12 @@ from repro.pelican.deployment import (
     QueryStats,
     ServiceEndpoint,
     deploy_cloud,
-    deploy_cloud_delta,
     deploy_local,
     rebuild_personal_model,
     serialize_personal_model,
-    serialize_personal_model_delta,
 )
 from repro.pelican.device import (
     CLOUD_SERVER,
-    FLAGSHIP_PHONE,
     LOW_END_PHONE,
     DevicePersonalizer,
     DeviceProfile,
@@ -69,13 +66,7 @@ from repro.pelican.fleet import (
     QueryRequest,
     QueryResponse,
 )
-from repro.pelican.placement import (
-    PLACEMENT_POLICIES,
-    HashPlacement,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    make_placement,
-)
+from repro.pelican.placement import HashPlacement
 from repro.pelican.privacy import (
     DEFAULT_PRIVACY_TEMPERATURE,
     PrivacyReport,
@@ -144,16 +135,12 @@ __all__ = [
     "DEFAULT_PRIVACY_TEMPERATURE",
     "DeploymentMode",
     "EventKind",
-    "FLAGSHIP_PHONE",
     "Fleet",
     "FleetEvent",
     "FleetReport",
     "FleetSchedule",
     "GaussianNoiseDefense",
     "HashPlacement",
-    "LeastLoadedPlacement",
-    "PLACEMENT_POLICIES",
-    "PlacementPolicy",
     "LOW_END_PHONE",
     "ModelRegistry",
     "OutputDefense",
@@ -188,12 +175,9 @@ __all__ = [
     "resilience_policy",
     "shed_late_queries",
     "deploy_cloud",
-    "deploy_cloud_delta",
-    "serialize_personal_model_delta",
     "deploy_local",
     "leakage_reduction",
     "leakage_reduction_series",
-    "make_placement",
     "perturb_schedule",
     "rebuild_general_model",
     "rebuild_personal_model",

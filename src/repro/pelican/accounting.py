@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List
 
 from repro.pelican.cloud import ResourceReport
-from repro.pelican.device import DeviceProfile
+from repro.pelican.device import CLOUD_SERVER
 from repro.pelican.registry import RegistryStats
 
 
@@ -30,8 +30,10 @@ class FleetReport:
 
     ``cloud_compute`` / ``device_compute`` sum MACs on each side;
     ``*_simulated_seconds`` convert them through the side's hardware
-    profile (plus registry cold-load fetch time on the cloud side and the
-    per-user personalization estimates on the device side).
+    profile, :data:`~repro.pelican.device.CLOUD_SERVER` or
+    :data:`~repro.pelican.device.LOW_END_PHONE` (plus registry cold-load
+    fetch time on the cloud side and the per-user personalization
+    estimates on the device side).
     ``wall_seconds`` inside the embedded reports is measured, so
     :meth:`signature` — the projection the determinism guarantee covers —
     excludes it.
@@ -43,8 +45,6 @@ class FleetReport:
     by field.  They stay zero outside audit runs.
     """
 
-    cloud_profile: DeviceProfile
-    device_profile: DeviceProfile
     cloud_compute: ResourceReport = field(default_factory=ResourceReport.zero)
     device_compute: ResourceReport = field(default_factory=ResourceReport.zero)
     device_simulated_seconds: float = 0.0
@@ -68,7 +68,7 @@ class FleetReport:
     def cloud_simulated_seconds(self) -> float:
         """Cloud compute time plus checkpoint-store fetch time."""
         return (
-            self.cloud_profile.simulated_seconds(self.cloud_compute.macs)
+            CLOUD_SERVER.simulated_seconds(self.cloud_compute.macs)
             + self.registry.simulated_load_seconds
         )
 
@@ -122,8 +122,6 @@ class ClusterReport:
     work on either; :meth:`signature` adds a ``shards`` tuple.
     """
 
-    cloud_profile: DeviceProfile
-    device_profile: DeviceProfile
     shard_reports: List[FleetReport] = field(default_factory=list)
     training: ResourceReport = field(default_factory=ResourceReport.zero)
 
@@ -137,9 +135,7 @@ class ClusterReport:
     def totals(self) -> FleetReport:
         """The shard books summed field by field, in shard order, with
         ``cloud_compute`` starting from ``training``."""
-        total = FleetReport(
-            self.cloud_profile, self.device_profile, cloud_compute=self.training
-        )
+        total = FleetReport(cloud_compute=self.training)
         for report in self.shard_reports:
             for name in _SUMMED_FIELDS:
                 setattr(total, name, _add(getattr(total, name), getattr(report, name)))
@@ -159,10 +155,7 @@ class ClusterReport:
         }
 
 
-#: Every :class:`FleetReport` field but the hardware profiles.
-_SUMMED_FIELDS = tuple(
-    f.name for f in fields(FleetReport) if not f.name.endswith("_profile")
-)
+_SUMMED_FIELDS = tuple(f.name for f in fields(FleetReport))
 
 
 def _add(total: Any, value: Any) -> Any:

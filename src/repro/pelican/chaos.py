@@ -371,14 +371,11 @@ class FlakyModelRegistry(ModelRegistry):
         seed: int,
         policy: ChaosPolicy,
         chaos: ChaosStats,
-        storage_mbps: float = 400.0,
         store: Optional[BlobStore] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
     ) -> None:
-        super().__init__(
-            capacity=capacity, seed=seed, storage_mbps=storage_mbps, store=store
-        )
+        super().__init__(capacity=capacity, seed=seed, store=store)
         self.policy = policy
         self.chaos = chaos
         self.resilience = resilience

@@ -18,7 +18,7 @@ Guarantees, in the same spirit as §7/§8:
   K-shard run under the null chaos policy answers every query exactly
   like the single-``Fleet`` run on the same schedule and seed.  Only the
   books differ in shape (per-shard), never the totals' meaning.
-* **Deterministic placement.**  Every policy derives from
+* **Deterministic placement.**  Consistent hashing derives from
   ``default_rng((seed, stream, key))``-style stable hashes: the same
   ``(seed, user set, shard count)`` always yields the identical
   placement map.
@@ -41,7 +41,7 @@ Guarantees, in the same spirit as §7/§8:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.data.dataset import SequenceDataset
 from repro.data.features import FeatureSpec
@@ -69,7 +69,6 @@ from repro.pelican.clock import (
     replay_schedule,
 )
 from repro.pelican.deployment import DeploymentMode
-from repro.pelican.device import CLOUD_SERVER, LOW_END_PHONE, DeviceProfile
 # ``dispatch_model_batch`` and ``group_requests`` are not called here (the
 # group loop is ``Fleet._serve_groups``) but stay names of this module:
 # the benchmark's tracer (``perfbench/tracing.py``) wraps them here.
@@ -79,7 +78,7 @@ from repro.pelican.dispatch import (  # noqa: F401
     group_requests,
 )
 from repro.pelican.fleet import Fleet
-from repro.pelican.placement import HashPlacement, PlacementPolicy, make_placement
+from repro.pelican.placement import HashPlacement
 from repro.pelican.storage import BlobStore, MemoryBlobStore
 from repro.pelican.system import OnboardedUser, Pelican, PelicanConfig
 
@@ -98,9 +97,6 @@ class Cluster:
     num_shards:
         Cloud shard count; ``1`` reproduces the legacy single-``Fleet``
         behaviour exactly.
-    placement:
-        A policy name (``hash`` / ``least_loaded``) or a
-        ready :class:`~repro.pelican.placement.PlacementPolicy` instance.
     registry_capacity:
         *Per-shard* live-model budget (``None`` = unbounded).  The durable
         blob store is cluster-wide and unbounded, like real object
@@ -135,10 +131,7 @@ class Cluster:
         spec: FeatureSpec,
         config: Optional[PelicanConfig] = None,
         num_shards: int = 1,
-        placement: Union[str, PlacementPolicy] = "hash",
         registry_capacity: Optional[int] = 64,
-        cloud_profile: DeviceProfile = CLOUD_SERVER,
-        device_profile: DeviceProfile = LOW_END_PHONE,
         policy: Optional[ChaosPolicy] = None,
         resilience: Optional[ResiliencePolicy] = None,
         store: Optional[BlobStore] = None,
@@ -149,15 +142,7 @@ class Cluster:
         self.spec = spec
         self.config = config
         self.num_shards = num_shards
-        if isinstance(placement, PlacementPolicy):
-            if placement.num_shards != num_shards:
-                raise ValueError(
-                    f"placement policy covers {placement.num_shards} shards, "
-                    f"cluster has {num_shards}"
-                )
-            self.placement = placement
-        else:
-            self.placement = make_placement(placement, config.seed, num_shards)
+        self.placement = HashPlacement(config.seed, num_shards)
         self.policy = policy
         self.chaos = ChaosStats()
         if resilience is not None and resilience.is_null:
@@ -188,8 +173,6 @@ class Cluster:
             Fleet(
                 Pelican(spec, config),
                 registry_capacity=registry_capacity,
-                cloud_profile=cloud_profile,
-                device_profile=device_profile,
                 registry_store=self.store,
                 resilience=(
                     None if resilience is None else resilience.for_shard(shard_id)
@@ -200,9 +183,7 @@ class Cluster:
             for shard_id in range(num_shards)
         ]
         self.report = ClusterReport(
-            cloud_profile=cloud_profile,
-            device_profile=device_profile,
-            shard_reports=[shard.report for shard in self.shards],
+            shard_reports=[shard.report for shard in self.shards]
         )
         #: Current run's shard-outage windows (empty outside chaos runs).
         self._outages: Dict[int, List[Tuple[float, float]]] = {}
@@ -310,7 +291,6 @@ class Cluster:
         privacy_temperature: Optional[float] = None,
         method: Optional[PersonalizationMethod] = None,
         deployment: Optional[DeploymentMode] = None,
-        profile: Optional[DeviceProfile] = None,
     ) -> OnboardedUser:
         """Onboard one device on its placed shard."""
         home_id = self.placement.shard_for(user_id)
@@ -320,7 +300,6 @@ class Cluster:
             privacy_temperature=privacy_temperature,
             method=method,
             deployment=deployment,
-            profile=profile,
         )
         self._invalidate_elsewhere(user_id, home_id)
         return user
@@ -602,29 +581,19 @@ class Cluster:
     ) -> Optional[int]:
         """The user's first available failover shard, or ``None``.
 
-        Hash-based placements walk the user's own ring successor order
+        Candidates are the user's own ring successor order
         (:meth:`~repro.pelican.placement.HashPlacement.successors`), so
-        failed-over load spreads the way consistent hashing promises;
-        other policies walk shard ids from the home.  With circuit
-        breakers configured, a candidate whose breaker is open is
+        failed-over load spreads the way consistent hashing promises.
+        With circuit breakers configured, a candidate whose breaker is open is
         skipped *before* its outage state is even probed — the redirect
         that saves a doomed cold load — and downed candidates take a
         breaker strike.  ``None`` means a full-cluster outage: nothing
         is available, and the caller decides between the degradation
         ladder and the legacy serve-on-downed-home path.
         """
-        if isinstance(self.placement, HashPlacement):
-            candidates = [
-                shard
-                for shard in self.placement.successors(user_id)
-                if shard != home_id
-            ]
-        else:
-            candidates = [
-                (home_id + offset) % self.num_shards
-                for offset in range(1, self.num_shards)
-            ]
-        for candidate in candidates:
+        for candidate in self.placement.successors(user_id):
+            if candidate == home_id:
+                continue
             breaker = self._breakers.get(candidate)
             if breaker is not None and not breaker.allow(time):
                 self.resilience_stats.breaker_redirects += 1

@@ -25,12 +25,7 @@ from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models.architecture import NextLocationModel
 from repro.models.predictor import NextLocationPredictor
 from repro.nn import init as nn_init
-from repro.nn.serialization import (
-    deserialize_state,
-    encode_compact,
-    serialize_state,
-    state_delta,
-)
+from repro.nn.serialization import deserialize_state, serialize_state
 from repro.pelican.transport import Channel
 
 
@@ -209,48 +204,3 @@ def deploy_cloud(
         NextLocationPredictor(server_model, spec), DeploymentMode.CLOUD, channel
     )
     return endpoint, upload_seconds
-
-
-def serialize_personal_model_delta(
-    model: NextLocationModel, prior_blob: bytes
-) -> Tuple[bytes, bytes]:
-    """Delta-encode a redeploy against the previously deployed blob.
-
-    Returns ``(delta_blob, full_blob)``: the delta carries only the weight
-    bytes that changed since ``prior_blob`` (any format) and is what the
-    transport ships; the full compact blob is what the store keeps —
-    :func:`repro.nn.serialization.apply_state_delta` reconstitutes it
-    byte-for-byte from ``prior_blob``'s compact form plus the delta.
-    """
-    full = encode_compact(serialize_personal_model(model))
-    delta = state_delta(full, encode_compact(prior_blob))
-    return delta, full
-
-
-def deploy_cloud_delta(
-    model: NextLocationModel,
-    spec: FeatureSpec,
-    channel: Channel,
-    rng: np.random.Generator,
-    prior_blob: Optional[bytes],
-) -> Tuple[ServiceEndpoint, float, bytes]:
-    """Redeploy to the cloud, shipping only changed weight bytes.
-
-    Opt-in variant of :func:`deploy_cloud` (``PelicanConfig.delta_updates``):
-    with a prior blob the channel books the delta's size instead of the
-    full checkpoint's, which is exactly why it is off by default — network
-    signatures move, by design.  Without a prior blob this is a first
-    deploy and degenerates to the full upload.  Returns the endpoint, the
-    upload seconds, and the full compact blob to remember for the next
-    delta.
-    """
-    if prior_blob is None:
-        endpoint, upload_seconds = deploy_cloud(model, spec, channel, rng)
-        return endpoint, upload_seconds, encode_compact(serialize_personal_model(model))
-    delta, full = serialize_personal_model_delta(model, prior_blob)
-    upload_seconds = channel.upload(delta, label="personal-model-delta")
-    server_model = rebuild_personal_model(full, rng)
-    endpoint = ServiceEndpoint(
-        NextLocationPredictor(server_model, spec), DeploymentMode.CLOUD, channel
-    )
-    return endpoint, upload_seconds, full

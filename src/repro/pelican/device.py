@@ -50,7 +50,6 @@ class DeviceProfile:
 # simulated seconds per side.  The numbers are deliberately coarse — only
 # the relative magnitudes matter for the reproduced comparisons.
 LOW_END_PHONE = DeviceProfile()
-FLAGSHIP_PHONE = DeviceProfile(name="flagship-phone", effective_gmacs_per_second=8.0)
 CLOUD_SERVER = DeviceProfile(name="cloud-server", effective_gmacs_per_second=64.0)
 
 

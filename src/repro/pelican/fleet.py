@@ -61,7 +61,7 @@ from repro.pelican.clock import (
 )
 from repro.pelican.cloud import ResourceReport
 from repro.pelican.deployment import DeploymentMode
-from repro.pelican.device import CLOUD_SERVER, LOW_END_PHONE, DeviceProfile
+from repro.pelican.device import LOW_END_PHONE
 from repro.pelican.dispatch import (
     ProbePayload,
     dispatch_model_batch,
@@ -129,9 +129,6 @@ class Fleet:
         report.
     registry_capacity:
         Live-model budget of the cloud registry (``None`` = unbounded).
-    cloud_profile / device_profile:
-        Hardware models used to convert per-side MACs into simulated
-        seconds; ``device_profile`` is also the default onboarding device.
     registry_store:
         Optional shared durable :class:`~repro.pelican.storage.BlobStore`.
         A standalone fleet keeps its own in-memory store; cluster shards
@@ -159,8 +156,6 @@ class Fleet:
         self,
         pelican: Pelican,
         registry_capacity: Optional[int] = 64,
-        cloud_profile: DeviceProfile = CLOUD_SERVER,
-        device_profile: DeviceProfile = LOW_END_PHONE,
         registry_store: Optional[BlobStore] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
@@ -203,14 +198,7 @@ class Fleet:
                 resilience=resilience,
                 resilience_stats=self.resilience_stats,
             )
-        self.cloud_profile = cloud_profile
-        self.device_profile = device_profile
-        self._profiles: Dict[int, DeviceProfile] = {}
-        self.report = FleetReport(
-            cloud_profile=cloud_profile,
-            device_profile=device_profile,
-            registry=self.registry.stats,
-        )
+        self.report = FleetReport(registry=self.registry.stats)
         # Adopt users already onboarded through the bare Pelican API:
         # cloud-deployed models must be in the registry before serving.
         for user_id, user in pelican.users.items():
@@ -264,19 +252,15 @@ class Fleet:
         privacy_temperature: Optional[float] = None,
         method: Optional[PersonalizationMethod] = None,
         deployment: Optional[DeploymentMode] = None,
-        profile: Optional[DeviceProfile] = None,
     ) -> OnboardedUser:
         """Onboard one device: personalize, deploy, register if cloud-mode."""
-        profile = profile or self.device_profile
         user = self.pelican.onboard_user(
             user_id,
             dataset,
             privacy_temperature=privacy_temperature,
             method=method,
             deployment=deployment,
-            profile=profile,
         )
-        self._profiles[user_id] = profile
         self.report.onboards += 1
         self.report.device_compute += user.personalization_report
         self.report.device_simulated_seconds += user.simulated_device_seconds
@@ -288,10 +272,9 @@ class Fleet:
     def update(self, user_id: int, dataset: SequenceDataset) -> OnboardedUser:
         """Phase-4 incremental update, attributed to the user's device."""
         refreshed = self.pelican.update_user(user_id, dataset)
-        profile = self._profiles.get(user_id, self.device_profile)
         self.report.updates += 1
         self.report.device_compute += refreshed.personalization_report
-        self.report.device_simulated_seconds += profile.simulated_seconds(
+        self.report.device_simulated_seconds += LOW_END_PHONE.simulated_seconds(
             refreshed.personalization_report.macs
         )
         if refreshed.endpoint.mode == DeploymentMode.CLOUD:
@@ -451,8 +434,7 @@ class Fleet:
         else:
             count = len(indices)
         if endpoint.mode != DeploymentMode.CLOUD:
-            profile = self._profiles.get(user.user_id, self.device_profile)
-            seconds = profile.simulated_seconds(compute.macs)
+            seconds = LOW_END_PHONE.simulated_seconds(compute.macs)
             report.device_compute += compute
             report.device_simulated_seconds += seconds
             if is_probe:

@@ -34,6 +34,10 @@ from repro.nn.serialization import encode_compact, logical_nbytes
 from repro.pelican.deployment import rebuild_personal_model, serialize_personal_model
 from repro.pelican.storage import BlobStore, MemoryBlobStore
 
+#: Simulated checkpoint-store fetch bandwidth: a cold load of a ``b``-byte
+#: blob costs ``b * 8 / (STORAGE_MBPS * 1e6)`` seconds.
+STORAGE_MBPS = 400.0
+
 
 @dataclass
 class RegistryStats:
@@ -57,9 +61,6 @@ class ModelRegistry:
         unbounded (everything stays hot; cold loads never happen).
     seed:
         Base seed for rebuild RNGs (determinism of cold loads).
-    storage_mbps:
-        Simulated checkpoint-store fetch bandwidth; a cold load of a
-        ``b``-byte blob costs ``b * 8 / (storage_mbps * 1e6)`` seconds.
     store:
         The durable :class:`~repro.pelican.storage.BlobStore` to
         read/write.  Defaults to a private
@@ -74,16 +75,12 @@ class ModelRegistry:
         self,
         capacity: Optional[int] = 64,
         seed: int = 0,
-        storage_mbps: float = 400.0,
         store: Optional[BlobStore] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("registry capacity must be >= 1 (or None for unbounded)")
-        if storage_mbps <= 0:
-            raise ValueError("storage bandwidth must be positive")
         self.capacity = capacity
         self.seed = seed
-        self.storage_mbps = storage_mbps
         self._blobs: BlobStore = MemoryBlobStore() if store is None else store
         self._live: "OrderedDict[int, NextLocationModel]" = OrderedDict()
         self.stats = RegistryStats()
@@ -167,7 +164,7 @@ class ModelRegistry:
         Overridable hook: the chaos layer's flaky registry charges failed
         fetch attempts here, on top of this clean baseline.
         """
-        return logical_nbytes(blob) * 8 / (self.storage_mbps * 1e6)
+        return logical_nbytes(blob) * 8 / (STORAGE_MBPS * 1e6)
 
     def evict(self, user_id: int) -> bool:
         """Explicitly drop a live model (the blob stays); True if it was live."""

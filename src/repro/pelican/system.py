@@ -17,8 +17,9 @@ on top (DESIGN.md §7, ``examples/pelican_service.py``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +33,9 @@ from repro.pelican.deployment import (
     DeploymentMode,
     ServiceEndpoint,
     deploy_cloud,
-    deploy_cloud_delta,
     deploy_local,
 )
-from repro.pelican.device import DevicePersonalizer, DeviceProfile, general_trunk
+from repro.pelican.device import DevicePersonalizer, general_trunk
 from repro.pelican.privacy import DEFAULT_PRIVACY_TEMPERATURE
 from repro.pelican.transport import Channel
 from repro.pelican.updates import update_personal_model
@@ -51,10 +51,6 @@ class PelicanConfig:
     privacy_temperature: float = DEFAULT_PRIVACY_TEMPERATURE
     deployment: DeploymentMode = DeploymentMode.LOCAL
     seed: int = 0
-    #: Ship cloud *re*deploys as weight deltas against the prior blob
-    #: (DESIGN.md §14).  Off by default: delta uploads book fewer network
-    #: bytes, so enabling this legitimately moves network signatures.
-    delta_updates: bool = False
 
 
 @dataclass
@@ -78,10 +74,6 @@ class Pelican:
         self.channel = Channel()
         self._general_blob: Optional[bytes] = None
         self.users: Dict[int, OnboardedUser] = {}
-        #: Last uploaded compact blob per cloud user — the baseline the
-        #: next delta redeploy encodes against.  Only populated when
-        #: ``config.delta_updates`` is on.
-        self._deployed_blobs: Dict[int, bytes] = {}
 
     @property
     def trunk(self) -> Optional[Trunk]:
@@ -92,6 +84,24 @@ class Pelican:
         if self._general_blob is None:
             return None
         return general_trunk(self._general_blob)
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Pelican":
+        """A deep copy whose models keep sharing the read-only trunk.
+
+        The trunk's arrays go into ``memo`` first, so every copied model
+        points at them as the originals do: the copy stays write-protected,
+        holds no second trunk, and a tick over original and copied models
+        still projects each trunk layer once.
+        """
+        trunk = self.trunk
+        if trunk is not None:
+            for array in trunk.arrays.values():
+                memo[id(array)] = array
+        copied = type(self).__new__(type(self))
+        memo[id(self)] = copied
+        for name, value in self.__dict__.items():
+            setattr(copied, name, copy.deepcopy(value, memo))
+        return copied
 
     # ------------------------------------------------------------------
     # Phase 1
@@ -113,14 +123,13 @@ class Pelican:
         privacy_temperature: Optional[float] = None,
         method: Optional[PersonalizationMethod] = None,
         deployment: Optional[DeploymentMode] = None,
-        profile: Optional[DeviceProfile] = None,
     ) -> OnboardedUser:
         """Personalize on device and deploy for one user.
 
         ``privacy_temperature`` is the user's privacy tuner (defaults to
         the system default; the value is never revealed to the provider).
-        ``profile`` models the user's device hardware (defaults to a
-        low-end phone) and only affects the simulated-seconds conversion.
+        The device is a low-end phone, which only affects the
+        simulated-seconds conversion.
         """
         if self._general_blob is None:
             raise RuntimeError("run initial_training before onboarding users")
@@ -131,9 +140,7 @@ class Pelican:
         )
         self.channel.download(self._general_blob, label=f"general-model->user{user_id}")
         personalizer = DevicePersonalizer(
-            self.config.personalization,
-            profile=profile or DeviceProfile(),
-            seed=self.config.seed + user_id + 1,
+            self.config.personalization, seed=self.config.seed + user_id + 1
         )
         personal, report, device_seconds = personalizer.personalize(
             self._general_blob,
@@ -144,15 +151,7 @@ class Pelican:
         mode = deployment or self.config.deployment
         rng = np.random.default_rng(self.config.seed + user_id + 10_000)
         if mode == DeploymentMode.CLOUD:
-            if self.config.delta_updates:
-                # First deploy ships the full blob either way; remember it
-                # so the next redeploy can delta-encode against it.
-                endpoint, _, stored = deploy_cloud_delta(
-                    personal, self.spec, self.channel, rng, None
-                )
-                self._deployed_blobs[user_id] = stored
-            else:
-                endpoint, _ = deploy_cloud(personal, self.spec, self.channel, rng)
+            endpoint, _ = deploy_cloud(personal, self.spec, self.channel, rng)
         else:
             endpoint = deploy_local(personal, self.spec)
         self._share_trunk(endpoint)
@@ -209,17 +208,7 @@ class Pelican:
         )
         mode = user.endpoint.mode
         if mode == DeploymentMode.CLOUD:
-            if self.config.delta_updates:
-                endpoint, _, stored = deploy_cloud_delta(
-                    result.model,
-                    self.spec,
-                    self.channel,
-                    rng,
-                    self._deployed_blobs.get(user_id),
-                )
-                self._deployed_blobs[user_id] = stored
-            else:
-                endpoint, _ = deploy_cloud(result.model, self.spec, self.channel, rng)
+            endpoint, _ = deploy_cloud(result.model, self.spec, self.channel, rng)
         else:
             endpoint = deploy_local(result.model, self.spec)
         self._share_trunk(endpoint)

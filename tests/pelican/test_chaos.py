@@ -38,6 +38,7 @@ from repro.pelican import (
     perturb_schedule,
     resilience_policy,
 )
+from repro.pelican.registry import STORAGE_MBPS
 
 LEVEL = SpatialLevel.BUILDING
 
@@ -206,7 +207,7 @@ class TestFlakyRegistry:
         flaky, _ = self._thrash(ChaosPolicy())
         assert flaky.chaos.cold_load_failures == 0
         clean_seconds = sum(
-            logical_nbytes(flaky._blobs[uid]) * 8 / (flaky.storage_mbps * 1e6)
+            logical_nbytes(flaky._blobs[uid]) * 8 / (STORAGE_MBPS * 1e6)
             for uid in (1, 2, 1, 2, 1)
         )
         np.testing.assert_allclose(flaky.stats.simulated_load_seconds, clean_seconds)

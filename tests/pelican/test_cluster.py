@@ -29,6 +29,7 @@ import pytest
 from repro.data import CorpusConfig, SpatialLevel, generate_corpus
 from repro.models import GeneralModelConfig, PersonalizationConfig
 from repro.pelican import (
+    CLOUD_SERVER,
     ChaosPolicy,
     Cluster,
     DeploymentMode,
@@ -198,7 +199,7 @@ class TestClusterReportTotals:
             "cloud_macs": cloud.macs,
             "device_macs": a.device_compute.macs + b.device_compute.macs,
             "cloud_simulated_seconds": (
-                a.cloud_profile.simulated_seconds(cloud.macs) + load_seconds
+                CLOUD_SERVER.simulated_seconds(cloud.macs) + load_seconds
             ),
             "device_simulated_seconds": summed("device_simulated_seconds"),
             "network_seconds": summed("network_seconds"),
@@ -235,10 +236,9 @@ class TestClusterReportTotals:
 
         # Every summed field reaches the totals (nothing left at its default).
         totals = cluster.report.totals()
-        blank = FleetReport(a.cloud_profile, a.device_profile)
+        blank = FleetReport()
         for f in dataclasses.fields(FleetReport):
-            if not f.name.endswith("_profile"):
-                assert getattr(totals, f.name) != getattr(blank, f.name), f.name
+            assert getattr(totals, f.name) != getattr(blank, f.name), f.name
 
 
 class TestMultiShardParity:
@@ -323,18 +323,6 @@ class TestMultiShardParity:
         batched = cluster.serve(requests)
         assert responses_match(batched, looped)
 
-    @pytest.mark.parametrize("placement", ["least_loaded"])
-    def test_alternate_placements_answer_identically(self, trained, placement):
-        corpus, pelican, splits = trained
-        _, expected = _fleet_run(pelican, corpus, splits)
-        cluster = Cluster.from_trained(
-            copy.deepcopy(pelican),
-            num_shards=2,
-            placement=placement,
-            registry_capacity=2,
-        )
-        assert cluster.run(_schedule(corpus, splits)) == expected
-
 
 class TestRouting:
     def test_lifecycle_events_route_to_home_shard(self, trained):
@@ -379,13 +367,21 @@ class TestAdoption:
         corpus, pelican, _ = trained
         with pytest.raises(ValueError, match="at least one shard"):
             Cluster(corpus.spec(LEVEL), pelican.config, num_shards=0)
-        with pytest.raises(ValueError, match="placement policy covers"):
-            Cluster(
-                corpus.spec(LEVEL),
-                pelican.config,
-                num_shards=3,
-                placement=HashPlacement(seed=5, num_shards=2),
-            )
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_users_live_on_their_hash_ring_home(self, trained, num_shards):
+        """The cluster's placement is the seeded hash ring over exactly its
+        shards, and every adopted user lives on its ring home."""
+        corpus, pelican, splits = trained
+        source = copy.deepcopy(pelican)
+        for uid in corpus.personal_ids:
+            source.onboard_user(uid, splits[uid][0])
+        cluster = Cluster.from_trained(source, num_shards=num_shards)
+        assert cluster.placement.num_shards == num_shards
+        ring = HashPlacement(pelican.config.seed, num_shards)
+        assert cluster.placement_map() == ring.placement_map(corpus.personal_ids)
+        for uid in corpus.personal_ids:
+            assert sorted(cluster.placement.successors(uid)) == list(range(num_shards))
 
 
 class TestFailover:

@@ -1,37 +1,31 @@
 """Placement-layer tests (DESIGN.md §9).
 
 The cluster's determinism guarantee starts here: the same ``(seed, user
-set, shard count)`` must always produce the identical placement map, for
-every policy, across fresh policy instances.
+set, shard count)`` must always produce the identical placement map
+across fresh placement instances.
 """
+
+from bisect import bisect_left
 
 import pytest
 
-from repro.pelican import (
-    PLACEMENT_POLICIES,
-    HashPlacement,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    make_placement,
-)
+from repro.pelican import HashPlacement
 
 USERS = list(range(40))
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", sorted(PLACEMENT_POLICIES))
     @pytest.mark.parametrize("num_shards", [1, 3, 5])
-    def test_same_inputs_same_map(self, name, num_shards):
+    def test_same_inputs_same_map(self, num_shards):
         """Fresh instances with identical inputs agree exactly."""
-        a = make_placement(name, seed=7, num_shards=num_shards)
-        b = make_placement(name, seed=7, num_shards=num_shards)
+        a = HashPlacement(seed=7, num_shards=num_shards)
+        b = HashPlacement(seed=7, num_shards=num_shards)
         assert a.placement_map(USERS) == b.placement_map(USERS)
 
-    @pytest.mark.parametrize("name", sorted(PLACEMENT_POLICIES))
-    def test_map_independent_of_user_iteration_order(self, name):
+    def test_map_independent_of_user_iteration_order(self):
         """The map is a function of the user *set*, not presentation order."""
-        a = make_placement(name, seed=7, num_shards=3)
-        b = make_placement(name, seed=7, num_shards=3)
+        a = HashPlacement(seed=7, num_shards=3)
+        b = HashPlacement(seed=7, num_shards=3)
         assert a.placement_map(USERS) == b.placement_map(list(reversed(USERS)))
 
     def test_seed_changes_hash_map(self):
@@ -40,12 +34,32 @@ class TestDeterminism:
         ]
         assert any(m != maps[0] for m in maps[1:])
 
-    @pytest.mark.parametrize("name", sorted(PLACEMENT_POLICIES))
-    def test_lookup_is_stable(self, name):
+    def test_lookup_is_stable(self):
         """Repeated lookups of one user never move them."""
-        policy = make_placement(name, seed=3, num_shards=4)
-        first = [policy.shard_for(uid) for uid in USERS]
-        assert [policy.shard_for(uid) for uid in USERS] == first
+        placement = HashPlacement(seed=3, num_shards=4)
+        first = [placement.shard_for(uid) for uid in USERS]
+        assert [placement.shard_for(uid) for uid in USERS] == first
+
+    @pytest.mark.parametrize("num_shards", range(1, 9))
+    def test_remembered_answers_match_a_fresh_instance(self, num_shards):
+        """Lookups answered from the per-user memo equal the ring walks of
+        a fresh instance, and the home shard is the first ring point
+        clockwise of the user's position."""
+        ids = range(1000)
+        warm = HashPlacement(seed=11, num_shards=num_shards)
+        for uid in ids:
+            warm.successors(uid)
+        remembered = {uid: (warm.shard_for(uid), warm.successors(uid)) for uid in ids}
+        fresh = HashPlacement(seed=11, num_shards=num_shards)
+        walked = {
+            uid: (fresh.shard_for(uid), fresh.successors(uid)) for uid in reversed(ids)
+        }
+        assert remembered == walked
+        points = fresh._points
+        positions = [pos for pos, _ in points]
+        for uid in ids:
+            idx = bisect_left(positions, fresh.user_position(uid))
+            assert remembered[uid][0] == points[idx % len(points)][1]
 
 
 class TestHashRing:
@@ -79,31 +93,8 @@ class TestHashRing:
             assert order[0] == placement.shard_for(uid)
 
 
-class TestLeastLoaded:
-    def test_balances_within_one(self):
-        placement = LeastLoadedPlacement(seed=0, num_shards=3)
-        placement.placement_map(USERS)
-        assert max(placement.loads) - min(placement.loads) <= 1
-        assert sum(placement.loads) == len(USERS)
-
-    def test_assignment_depends_on_arrival_order(self):
-        """Stateful by design: the live policy assigns in arrival order."""
-        a = LeastLoadedPlacement(seed=0, num_shards=2)
-        order_a = [a.shard_for(uid) for uid in (1, 2, 3, 4)]
-        b = LeastLoadedPlacement(seed=0, num_shards=2)
-        order_b = [b.shard_for(uid) for uid in (4, 3, 2, 1)]
-        assert order_a == order_b == [0, 1, 0, 1]  # round robin from empty
-
-
 class TestValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(KeyError, match="unknown placement policy"):
-            make_placement("round_trip", seed=0, num_shards=2)
-
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError):
             HashPlacement(seed=0, num_shards=0)
 
-    def test_base_policy_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            PlacementPolicy(seed=0, num_shards=1).shard_for(0)

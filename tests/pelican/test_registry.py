@@ -86,8 +86,6 @@ class TestRegistry:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ModelRegistry(capacity=0)
-        with pytest.raises(ValueError):
-            ModelRegistry(storage_mbps=0)
 
     def test_unbounded_capacity_never_evicts(self):
         registry = ModelRegistry(capacity=None)

@@ -352,6 +352,39 @@ class TestOrchestrator:
             for name, array in shard.pelican.trunk.arrays.items():
                 assert array is pelican.trunk.arrays[name]
 
+    def test_deep_copy_shares_the_trunk(self, tl_fe_pelican, monkeypatch):
+        """A deep-copied orchestrator's models point at the one read-only
+        trunk, so a tick over original and copied models projects each
+        trunk layer in one run and answers as the originals do."""
+        pelican = copy.deepcopy(tl_fe_pelican)
+        trunk = tl_fe_pelican.trunk
+        originals = [u.endpoint.predictor.model for u in tl_fe_pelican.users.values()]
+        copies = [u.endpoint.predictor.model for u in pelican.users.values()]
+        for model in copies:
+            assert _lstm_shared(model, trunk)
+            with pytest.raises(ValueError, match="read-only"):
+                model.lstm.cells[0].weight_ih.data[0, 0] = 0.0
+        assert all(c is not o for c, o in zip(copies, originals))
+
+        history = next(iter(tl_fe_pelican.users.values())).local_dataset.windows[0].history
+        histories = [tuple(history)] * 2
+        runs = []
+        original_runs = fused_module._shared_runs
+
+        def spy(spans, keys, steps):
+            runs.append(original_runs(spans, keys, steps))
+            return runs[-1]
+
+        monkeypatch.setattr(fused_module, "_shared_runs", spy)
+        models = originals + copies
+        served = dispatch_tick(tl_fe_pelican.spec, [(m, histories, 3) for m in models])
+        trunk_layers = tl_fe_pelican.config.general.num_layers
+        assert runs[:trunk_layers] == [[(0, len(models))]] * trunk_layers
+        half = len(originals)
+        assert served[half:] == served[:half]
+        for model, (answers, _) in zip(originals, served):
+            assert answers == dispatch_model_batch(model, tl_fe_pelican.spec, histories, 3)[0]
+
     def test_local_update_keeps_sharing(self, tl_fe_pelican):
         pelican = copy.deepcopy(tl_fe_pelican)
         uid, user = next(

@@ -1,49 +1,47 @@
-"""Blob storage: stores, compact codec, delta redeploys (DESIGN.md §14).
+"""Blob storage: stores, compact codec, cloud redeploys (DESIGN.md §14).
 
 Three layers of guarantees:
 
 * store semantics — every `BlobStore` is a byte-transparent mutable
   mapping with dict insertion-order behaviour and O(1) byte counters;
 * codec — format-2 blobs round-trip state dicts exactly (dtypes
-  included), embed the logical npz size, and delta blobs reconstitute
-  the full compact blob byte-for-byte;
-* integration — a registry (and a delta-updating Pelican deploy) behaves
-  identically over either store, and `stored_bytes` stays equal to the
-  recomputed sum through register/evict/overwrite churn.
+  included) and embed the logical npz size;
+* integration — a registry behaves identically over either store,
+  `stored_bytes` stays equal to the recomputed sum through
+  register/evict/overwrite churn, and every cloud deploy or update
+  uploads and stores the full personal-model blob.
 """
 
 import numpy as np
 import pytest
 
-from repro.models import NextLocationModel
+from repro.data import FeatureSpec, SpatialLevel
+from repro.models import GeneralModelConfig, NextLocationModel, PersonalizationConfig
 from repro.nn import init as nn_init
 from repro.nn.serialization import (
-    apply_state_delta,
     deserialize_state,
     encode_compact,
     is_compact,
-    is_delta,
     logical_nbytes,
     serialize_state,
     serialize_state_compact,
-    state_delta,
 )
 from repro.pelican import (
     STORE_KINDS,
+    DeploymentMode,
     DiskBlobStore,
+    Fleet,
     MemoryBlobStore,
     ModelRegistry,
+    Pelican,
+    PelicanConfig,
     make_blob_store,
     rebuild_personal_model,
     serialize_personal_model,
 )
-from repro.pelican.deployment import (
-    deploy_cloud,
-    deploy_cloud_delta,
-    serialize_personal_model_delta,
-)
+from repro.pelican.deployment import deploy_cloud
+from repro.pelican.registry import STORAGE_MBPS
 from repro.pelican.transport import Channel
-from repro.data.features import FeatureSpec
 
 
 def _model(seed=0, temperature=1e-3):
@@ -196,26 +194,6 @@ class TestCompactCodec:
             rebuilt = rebuild_personal_model(blob, np.random.default_rng(99))
             np.testing.assert_array_equal(rebuilt.infer_logits(batch), expected)
 
-    def test_delta_reconstitutes_byte_identical(self):
-        model = _model(5)
-        prior = encode_compact(serialize_personal_model(model))
-        # Nudge one tensor: the delta must carry less than the full blob
-        # and apply back to the exact new serialization.
-        model.head.weight.data = model.head.weight.data + 0.25
-        delta, full = serialize_personal_model_delta(model, prior)
-        assert is_delta(delta)
-        assert len(delta) < len(full)
-        assert apply_state_delta(prior, delta) == full
-        assert full == encode_compact(serialize_personal_model(model))
-
-    def test_identical_redeploy_ships_no_tensors(self):
-        model = _model(6)
-        prior = encode_compact(serialize_personal_model(model))
-        delta, full = serialize_personal_model_delta(model, prior)
-        assert full == prior
-        assert apply_state_delta(prior, delta) == prior
-        assert len(delta) < len(prior) / 4
-
 
 class TestZeroInit:
     def test_skip_init_consumes_no_draws(self):
@@ -276,37 +254,82 @@ class TestRegistryOverStores:
         assert logical == len(serialize_personal_model(model))
         registry.register(2, _model(2))
         registry.get(1)  # cold load off disk
-        expected = logical * 8 / (registry.storage_mbps * 1e6)
+        expected = logical * 8 / (STORAGE_MBPS * 1e6)
         np.testing.assert_allclose(registry.stats.simulated_load_seconds, expected)
         # Physically the stored blob is compact, not npz.
         assert is_compact(store[1]) and len(store[1]) != logical
         store.close()
 
 
-class TestDeltaDeploy:
-    def test_redeploy_ships_fewer_bytes_same_answers(self):
+class TestCloudRedeploy:
+    def test_redeploy_ships_the_full_blob_and_answers_as_the_model(self):
+        """Every cloud deploy uploads the whole npz blob, and the server
+        copy of a changed model answers as that model does."""
         spec = FeatureSpec(num_locations=6)
         batch = np.random.default_rng(3).normal(size=(2, 2, 10))
-
-        full_channel = Channel()
+        channel = Channel()
         model = _model(1)
-        deploy_cloud(model, spec, full_channel, np.random.default_rng(7))
-        full_bytes = full_channel.bytes_up
-
-        delta_channel = Channel()
-        endpoint_first, _, stored = deploy_cloud_delta(
-            _model(1), spec, delta_channel, np.random.default_rng(7), None
-        )
-        assert delta_channel.bytes_up == full_bytes  # first deploy: full blob
+        deploy_cloud(model, spec, channel, np.random.default_rng(7))
         updated = _model(1)
         updated.head.weight.data = updated.head.weight.data + 0.125
-        endpoint_second, _, stored2 = deploy_cloud_delta(
-            updated, spec, delta_channel, np.random.default_rng(8), stored
-        )
-        delta_bytes = delta_channel.bytes_up - full_bytes
-        assert 0 < delta_bytes < full_bytes
+        endpoint, _ = deploy_cloud(updated, spec, channel, np.random.default_rng(8))
+        assert [(r.direction, r.label, r.num_bytes) for r in channel.records] == [
+            ("up", "personal-model", len(serialize_personal_model(model))),
+            ("up", "personal-model", len(serialize_personal_model(updated))),
+        ]
         np.testing.assert_array_equal(
-            endpoint_second.predictor.model.infer_logits(batch),
+            endpoint.predictor.model.infer_logits(batch),
             updated.infer_logits(batch),
         )
-        assert stored2 == encode_compact(serialize_personal_model(updated))
+
+    def test_unchanged_redeploy_ships_identical_bytes(self):
+        """Redeploying an unchanged model costs the first deploy again:
+        the serialization is deterministic, so both uploads book the same
+        bytes and seconds and both server copies answer identically."""
+        spec = FeatureSpec(num_locations=6)
+        batch = np.random.default_rng(4).normal(size=(2, 2, 10))
+        model = _model(6)
+        assert serialize_personal_model(model) == serialize_personal_model(model)
+        channel = Channel()
+        deployed = [
+            deploy_cloud(model, spec, channel, np.random.default_rng(seed))
+            for seed in (7, 8)
+        ]
+        first, second = channel.records
+        assert (first.num_bytes, first.simulated_seconds) == (
+            second.num_bytes,
+            second.simulated_seconds,
+        )
+        assert deployed[0][1] == deployed[1][1]
+        expected = model.infer_logits(batch)
+        for endpoint, _ in deployed:
+            np.testing.assert_array_equal(
+                endpoint.predictor.model.infer_logits(batch), expected
+            )
+
+    def test_update_uploads_and_stores_the_full_blob(self, tiny_corpus):
+        """A cloud update ships the whole personal model: the channel books
+        exactly its npz size under ``personal-model`` and the registry
+        stores its compact transcode."""
+        level = SpatialLevel.BUILDING
+        pelican = Pelican(
+            tiny_corpus.spec(level),
+            PelicanConfig(
+                general=GeneralModelConfig(hidden_size=16, epochs=2, patience=None),
+                personalization=PersonalizationConfig(epochs=2, patience=None),
+                seed=1,
+            ),
+        )
+        train, _ = tiny_corpus.contributor_dataset(level).split_by_user(0.8)
+        pelican.initial_training(train)
+        fleet = Fleet(pelican)
+        uid = tiny_corpus.personal_ids[0]
+        first, later = tiny_corpus.user_dataset(uid, level).split(0.5)
+        fleet.onboard(uid, first, deployment=DeploymentMode.CLOUD)
+        uploads = len(pelican.channel.records)
+        updated = fleet.update(uid, later).endpoint.predictor.model
+        blob = serialize_personal_model(updated)
+        [record] = [r for r in pelican.channel.records[uploads:] if r.direction == "up"]
+        assert record.label == "personal-model"
+        assert record.num_bytes == len(blob)
+        assert fleet.store[uid] == encode_compact(blob)

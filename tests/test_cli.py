@@ -33,7 +33,6 @@ class TestParser:
         assert args.queries_per_user == 32
         assert args.capacity == 64
         assert args.shards == 1
-        assert args.placement == "hash"
         assert not args.fast
 
     def test_workers_flag_is_gone(self):
@@ -51,13 +50,12 @@ class TestParser:
                 build_parser().parse_args([command, "--store", "tiered"])
             assert exit_info.value.code == 2
 
-    def test_placement_choices(self):
-        args = build_parser().parse_args(["fleet", "--placement", "least_loaded"])
-        assert args.placement == "least_loaded"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--placement", "alphabetical"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scenarios", "--placement", "alphabetical"])
+    def test_placement_and_delta_flags_are_gone(self):
+        for command in ("fleet", "serve-load", "scenarios", "audit"):
+            for flag in (["--placement", "hash"], ["--delta-updates"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    build_parser().parse_args([command, *flag])
+                assert exit_info.value.code == 2
 
     def test_scenarios_defaults(self):
         args = build_parser().parse_args(["scenarios"])
