@@ -5,10 +5,13 @@ LSTM stack, frozen, plus its own surplus layer and head.  A
 :class:`Trunk` is one read-only copy of that stack, derived from the
 published checkpoint; every model the orchestrator deploys points the
 main-stack cells that still equal it bit for bit at the trunk's arrays
-instead of holding a private copy (registry cold loads keep copying).
-Sharing is decided by weight bits alone: a TL-FE model shares its whole
-stack, a TL-FT model its frozen layer 0, and a model whose weights moved
-keeps its own arrays.
+instead of holding a private copy.  Sharing is decided by weight bits
+alone: a TL-FE model shares its whole stack, a TL-FT model its frozen
+layer 0, and a model whose weights moved keeps its own arrays.
+
+A registry blob leaves out the cells a model shares and names the trunk
+by :attr:`Trunk.digest` instead, so a cold load binds them back to the
+same arrays (DESIGN.md §14).
 
 The tick kernel (:func:`repro.nn.fused._layer_forward`) then sees the
 same ``w_ih``/``bias`` objects across a bucket's groups and projects a
@@ -17,6 +20,7 @@ trunk layer once for all of them.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -50,7 +54,8 @@ class Trunk:
 
     ``state`` is the checkpoint's state dict; the ``lstm.*`` arrays are
     kept (not copied) and made read-only, so writing to or training a
-    shared array raises.
+    shared array raises.  :attr:`digest` is a SHA-256 over the arrays'
+    names, dtypes, shapes and bytes: equal stacks have equal digests.
     """
 
     def __init__(self, state: Mapping[str, np.ndarray]) -> None:
@@ -63,6 +68,11 @@ class Trunk:
         self._cells: List[Tuple[str, ...]] = [
             tuple(f"{prefix}.{param}" for param in _CELL_PARAMS) for prefix in prefixes
         ]
+        content = hashlib.sha256()
+        for name, array in sorted(self.arrays.items()):
+            content.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
+            content.update(np.ascontiguousarray(array).data)
+        self.digest = content.hexdigest()
 
     def matching(self, state: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """The trunk's arrays for every cell whose three arrays in
@@ -75,6 +85,16 @@ class Trunk:
             ):
                 shared.update((name, self.arrays[name]) for name in names)
         return shared
+
+    def shared_names(self, params: Mapping[str, np.ndarray]) -> List[str]:
+        """Names of the arrays of every cell whose three arrays in
+        ``params`` *are* the trunk's (an identity check: no bits read)."""
+        return [
+            name
+            for names in self._cells
+            if all(params.get(name) is self.arrays[name] for name in names)
+            for name in names
+        ]
 
     def attach(self, model: Module) -> None:
         """Point ``model``'s cells that equal the trunk at its arrays; the

@@ -9,7 +9,7 @@ optimizers only update parameters with ``requires_grad=True``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -125,10 +125,17 @@ class Module:
         """Return a copy of all parameter arrays keyed by dotted name."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(
+        self,
+        state: Mapping[str, np.ndarray],
+        strict: bool = True,
+        shared: Mapping[str, np.ndarray] = {},
+    ) -> None:
         """Load parameter arrays produced by :meth:`state_dict`.
 
         With ``strict=True`` (default) the key sets must match exactly.
+        Every value is copied except one that *is* ``shared[name]`` (a
+        shared read-only trunk array): the parameter holds that array.
         """
         own = dict(self.named_parameters())
         if strict:
@@ -149,7 +156,7 @@ class Module:
                     f"shape mismatch for {name!r}: "
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
-            param.data = value.copy()
+            param.data = value if value is shared.get(name) else value.copy()
 
     # ------------------------------------------------------------------
     # Training

@@ -14,6 +14,9 @@ cloud deployment (§V-A3).  Two codecs coexist (DESIGN.md §14):
   decoded zero-copy via ``numpy.frombuffer``.  The header embeds the
   logical (npz) byte size so accounting survives transcoding; payloads keep
   whatever dtype the dtype policy gave each parameter (float64/32/16).
+  A format-2 blob may leave out tensors held by a shared read-only trunk:
+  its header then records the trunk's digest and the tensor names, and
+  decoding takes those arrays from the caller's trunk of that digest.
 
 :func:`deserialize_state` sniffs the magic and accepts either format.
 """
@@ -24,7 +27,7 @@ import io
 import json
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +42,12 @@ _ALIGN = 64
 # magic (4) + header length (uint32) + logical bytes (uint64)
 _FIXED_HEADER = struct.Struct("<4sIQ")
 
+#: ``(digest, tensor names)``: the named tensors are left out of a format-2
+#: blob because the trunk with that digest holds them.
+TrunkReference = Tuple[str, Sequence[str]]
+#: Trunk arrays by digest, then by tensor name.
+Trunks = Mapping[str, Mapping[str, np.ndarray]]
+
 
 def serialize_state(state: Dict[str, np.ndarray], metadata: Dict[str, Any] | None = None) -> bytes:
     """Serialize a state dict (plus metadata) to bytes."""
@@ -50,10 +59,13 @@ def serialize_state(state: Dict[str, np.ndarray], metadata: Dict[str, Any] | Non
     return buffer.getvalue()
 
 
-def deserialize_state(blob: bytes) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Inverse of :func:`serialize_state`; accepts format-1 or format-2 blobs."""
+def deserialize_state(
+    blob: bytes, trunks: Optional[Trunks] = None
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """Inverse of :func:`serialize_state`; accepts format-1 or format-2 blobs
+    (``trunks`` as in :func:`deserialize_state_compact`)."""
     if is_compact(blob):
-        return deserialize_state_compact(blob)
+        return deserialize_state_compact(blob, trunks)
     with np.load(io.BytesIO(bytes(blob))) as archive:
         state = {key: archive[key] for key in archive.files if key != _META_KEY}
         metadata: Dict[str, Any] = {}
@@ -92,15 +104,21 @@ def serialize_state_compact(
     state: Dict[str, np.ndarray],
     metadata: Dict[str, Any] | None = None,
     logical_bytes: int | None = None,
+    trunk: Optional[TrunkReference] = None,
 ) -> bytes:
     """Serialize a state dict to the format-2 compact layout.
 
-    The layout is deterministic for a given ``(state, metadata,
-    logical_bytes)`` — unlike npz there are no archive timestamps — so a
-    stored blob can be checked byte-for-byte against a fresh transcode.
+    With ``trunk = (digest, names)`` the named tensors are left out and
+    the header records the reference instead.  The layout is
+    deterministic for a given ``(state, metadata, logical_bytes, trunk)``
+    — unlike npz there are no archive timestamps — so a stored blob can
+    be checked byte-for-byte against a fresh transcode.
     """
+    left_out = set() if trunk is None else set(trunk[1])
     tensors: List[Tuple[str, bytes, str, Tuple[int, ...]]] = []
     for name, value in state.items():
+        if name in left_out:
+            continue
         array = np.ascontiguousarray(value)
         tensors.append((name, array.tobytes(), array.dtype.str, array.shape))
 
@@ -115,10 +133,10 @@ def serialize_state_compact(
             offsets.append(cursor)
             table.append([name, dtype, list(shape), cursor, len(raw)])
             cursor += len(raw)
-        header = json.dumps(
-            {"meta": metadata or {}, "tensors": table},
-            separators=(",", ":"),
-        ).encode("utf-8")
+        document: Dict[str, Any] = {"meta": metadata or {}, "tensors": table}
+        if trunk is not None:
+            document["trunk"] = {"digest": trunk[0], "names": list(trunk[1])}
+        header = json.dumps(document, separators=(",", ":")).encode("utf-8")
         return header, offsets
 
     header, _ = build_header(0)
@@ -146,41 +164,54 @@ def serialize_state_compact(
     return out.getvalue()
 
 
-def _parse_compact(blob: Union[bytes, memoryview]) -> Tuple[Dict[str, Any], List[List[Any]]]:
+def _parse_compact(blob: Union[bytes, memoryview]) -> Dict[str, Any]:
     magic, header_len, _ = _FIXED_HEADER.unpack_from(bytes(blob[: _FIXED_HEADER.size]))
     if magic != COMPACT_MAGIC:
         raise ValueError("not a format-2 compact checkpoint")
     start = _FIXED_HEADER.size
-    header = json.loads(bytes(blob[start : start + header_len]).decode("utf-8"))
-    return header["meta"], header["tensors"]
+    return json.loads(bytes(blob[start : start + header_len]).decode("utf-8"))
 
 
 def deserialize_state_compact(
-    blob: Union[bytes, memoryview],
+    blob: Union[bytes, memoryview], trunks: Optional[Trunks] = None
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Inverse of :func:`serialize_state_compact`.
 
     Arrays are zero-copy views over ``blob`` (``np.frombuffer``); callers
     that keep them must copy — ``Module.load_state_dict`` already does.
+    A tensor the blob leaves to a trunk is that trunk's own array, taken
+    from ``trunks`` by the digest in the header; a digest missing from
+    ``trunks`` (or no ``trunks``) raises ``ValueError`` naming it.
     """
-    meta, table = _parse_compact(blob)
+    header = _parse_compact(blob)
     view = memoryview(blob)
     state: Dict[str, np.ndarray] = {}
-    for name, dtype, shape, offset, nbytes in table:
+    for name, dtype, shape, offset, nbytes in header["tensors"]:
         array = np.frombuffer(view[offset : offset + nbytes], dtype=np.dtype(dtype))
         state[name] = array.reshape(tuple(shape))
-    return state, meta
+    reference = header.get("trunk")
+    if reference is not None:
+        digest = reference["digest"]
+        arrays = (trunks or {}).get(digest)
+        if arrays is None:
+            raise ValueError(
+                f"checkpoint leaves {len(reference['names'])} tensors to trunk "
+                f"{digest}, which is not known here"
+            )
+        state.update((name, arrays[name]) for name in reference["names"])
+    return state, header["meta"]
 
 
-def encode_compact(blob: bytes) -> bytes:
-    """Transcode a format-1 (npz) blob to format 2, embedding its logical size.
+def encode_compact(blob: bytes, trunk: Optional[TrunkReference] = None) -> bytes:
+    """Transcode a format-1 (npz) blob to format 2, embedding its logical size
+    (and leaving ``trunk``'s tensors out, as in :func:`serialize_state_compact`).
 
     Format-2 input is returned unchanged, so the transcode is idempotent.
     """
     if is_compact(blob):
         return blob
     state, metadata = deserialize_state(blob)
-    return serialize_state_compact(state, metadata, logical_bytes=len(blob))
+    return serialize_state_compact(state, metadata, logical_bytes=len(blob), trunk=trunk)
 
 
 def save_module(module: Module, path: Union[str, Path], metadata: Dict[str, Any] | None = None) -> int:

@@ -33,7 +33,7 @@ makes accuracy comparable across chaos policies.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ from repro.pelican.resilience import (
     shed_late_queries,
 )
 from repro.pelican.transport import Channel
+
+if TYPE_CHECKING:
+    from repro.pelican.system import Pelican
 
 # Stable stream ids for per-decision RNG derivation.  Never renumber:
 # committed golden runs depend on them.
@@ -374,8 +377,11 @@ class FlakyModelRegistry(ModelRegistry):
         store: Optional[BlobStore] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_stats: Optional[ResilienceStats] = None,
+        orchestrator: Optional["Pelican"] = None,
     ) -> None:
-        super().__init__(capacity=capacity, seed=seed, store=store)
+        super().__init__(
+            capacity=capacity, seed=seed, store=store, orchestrator=orchestrator
+        )
         self.policy = policy
         self.chaos = chaos
         self.resilience = resilience

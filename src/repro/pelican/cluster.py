@@ -207,8 +207,7 @@ class Cluster:
             raise RuntimeError("run initial_training before sharding a Pelican")
         cluster = cls(pelican.spec, pelican.config, **kwargs)
         for shard in cluster.shards:
-            shard.pelican._general_blob = pelican._general_blob
-            shard.pelican.cloud = pelican.cloud
+            shard.pelican.adopt_general(pelican)
         for user_id, user in pelican.users.items():
             shard = cluster.shards[cluster.placement.shard_for(user_id)]
             if user.endpoint.channel is not None:
@@ -229,8 +228,7 @@ class Cluster:
         lead = self.shards[0].pelican
         report = lead.initial_training(contributor_dataset)
         for shard in self.shards[1:]:
-            shard.pelican._general_blob = lead._general_blob
-            shard.pelican.cloud = lead.cloud
+            shard.pelican.adopt_general(lead)
         self.report.training = self.report.training + report
         return report
 

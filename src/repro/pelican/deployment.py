@@ -24,6 +24,7 @@ import numpy as np
 from repro.data.features import FeatureSpec, SessionFeatures
 from repro.models.architecture import NextLocationModel
 from repro.models.predictor import NextLocationPredictor
+from repro.models.trunk import Trunk
 from repro.nn import init as nn_init
 from repro.nn.serialization import deserialize_state, serialize_state
 from repro.pelican.transport import Channel
@@ -63,7 +64,9 @@ def serialize_personal_model(model: NextLocationModel) -> bytes:
     )
 
 
-def rebuild_personal_model(blob: bytes, rng: np.random.Generator) -> NextLocationModel:
+def rebuild_personal_model(
+    blob: bytes, rng: np.random.Generator, trunk: Optional[Trunk] = None
+) -> NextLocationModel:
     """Inverse of :func:`serialize_personal_model`.
 
     The rebuilt model is bit-identical to the serialized one: the state
@@ -73,9 +76,13 @@ def rebuild_personal_model(blob: bytes, rng: np.random.Generator) -> NextLocatio
     Construction runs under :func:`repro.nn.init.skip_init` — every tensor
     is about to be overwritten by ``load_state_dict``, so paying the
     seeded random init would be pure waste (DESIGN.md §14).  Accepts
-    format-1 (npz) and format-2 (compact) blobs alike.
+    format-1 (npz) and format-2 (compact) blobs alike.  The cells a
+    format-2 blob leaves to ``trunk`` are bound to its read-only arrays,
+    not copied; a blob naming another trunk (or any trunk, when ``trunk``
+    is ``None``) raises ``ValueError``.
     """
-    state, metadata = deserialize_state(blob)
+    trunks = None if trunk is None else {trunk.digest: trunk.arrays}
+    state, metadata = deserialize_state(blob, trunks)
     with nn_init.skip_init():
         model = NextLocationModel(
             input_width=int(metadata["input_width"]),
@@ -87,7 +94,7 @@ def rebuild_personal_model(blob: bytes, rng: np.random.Generator) -> NextLocatio
         )
         if metadata["has_surplus"]:
             model.add_surplus_lstm(rng)
-    model.load_state_dict(state)
+    model.load_state_dict(state, shared={} if trunk is None else trunk.arrays)
     model.set_privacy_temperature(float(metadata["temperature"]))
     model.eval()
     return model

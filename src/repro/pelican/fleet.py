@@ -175,7 +175,10 @@ class Fleet:
         seed = pelican.config.seed
         if policy is None:
             self.registry = ModelRegistry(
-                capacity=registry_capacity, seed=seed, store=self.store
+                capacity=registry_capacity,
+                seed=seed,
+                store=self.store,
+                orchestrator=pelican,
             )
         else:
             faulty = FaultyChannel.wrap(
@@ -197,6 +200,7 @@ class Fleet:
                 store=self.store,
                 resilience=resilience,
                 resilience_stats=self.resilience_stats,
+                orchestrator=pelican,
             )
         self.report = FleetReport(registry=self.registry.stats)
         # Adopt users already onboarded through the bare Pelican API:

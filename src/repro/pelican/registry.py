@@ -19,20 +19,29 @@ compact format-2 codec (physical bytes, what a store holds), but every
 simulated fetch is *billed* at the logical npz size embedded in the compact
 header — the size the transport layer books for the same checkpoint — so
 swapping the physical codec or the store cannot move signatures.
+
+A model whose main-stack cells are its orchestrator's shared trunk
+(:class:`~repro.models.trunk.Trunk`) is stored without them: the blob
+names the trunk by digest, and a cold load binds those cells to the
+trunk's read-only arrays (DESIGN.md §7, §14).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.models.architecture import NextLocationModel
-from repro.nn.serialization import encode_compact, logical_nbytes
+from repro.models.trunk import Trunk
+from repro.nn.serialization import TrunkReference, encode_compact, logical_nbytes
 from repro.pelican.deployment import rebuild_personal_model, serialize_personal_model
 from repro.pelican.storage import BlobStore, MemoryBlobStore
+
+if TYPE_CHECKING:
+    from repro.pelican.system import Pelican
 
 #: Simulated checkpoint-store fetch bandwidth: a cold load of a ``b``-byte
 #: blob costs ``b * 8 / (STORAGE_MBPS * 1e6)`` seconds.
@@ -69,6 +78,12 @@ class ModelRegistry:
         every shard's registry, modeling cluster-wide durable storage
         under per-shard live caches — which is what lets a failover shard
         cold-load a user it never registered (DESIGN.md §9, §14).
+    orchestrator:
+        The :class:`~repro.pelican.system.Pelican` whose trunk registered
+        blobs reference and cold loads bind.  Its ``trunk`` is read at
+        each call, not here: a cluster publishes the general model to its
+        shards after building their registries.  ``None`` stores every
+        tensor inline.
     """
 
     def __init__(
@@ -76,6 +91,7 @@ class ModelRegistry:
         capacity: Optional[int] = 64,
         seed: int = 0,
         store: Optional[BlobStore] = None,
+        orchestrator: Optional["Pelican"] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("registry capacity must be >= 1 (or None for unbounded)")
@@ -83,6 +99,7 @@ class ModelRegistry:
         self.seed = seed
         self._blobs: BlobStore = MemoryBlobStore() if store is None else store
         self._live: "OrderedDict[int, NextLocationModel]" = OrderedDict()
+        self._orchestrator = orchestrator
         self.stats = RegistryStats()
 
     # ------------------------------------------------------------------
@@ -114,11 +131,12 @@ class ModelRegistry:
         The model is serialized into the durable store and becomes the
         most-recently-used live entry (a fresh deployment is about to be
         queried).  Re-registering a user replaces both copies.  Physical
-        storage uses the compact format-2 transcode; the returned size is
-        the logical npz size the transport layer would book.
+        storage uses the compact format-2 transcode, less the cells that
+        are the trunk's own arrays; the returned size is the logical npz
+        size the transport layer would book.
         """
         blob = serialize_personal_model(model)
-        self._blobs[user_id] = encode_compact(blob)
+        self._blobs[user_id] = encode_compact(blob, self._trunk_reference(model))
         self._live.pop(user_id, None)
         self._live[user_id] = model
         self._evict_over_capacity()
@@ -132,18 +150,30 @@ class ModelRegistry:
             self.stats.hits += 1
             self._live.move_to_end(user_id)
             return self._live[user_id]
-        # Zero-copy read where the store supports it (mmap-backed tiers);
-        # rebuild copies every tensor out, so the view never outlives this
-        # call.
+        # Zero-copy read where the store supports it (mmap-backed disk);
+        # rebuild copies the tensors the blob holds and binds the rest to
+        # the trunk, so the view never outlives this call.
         blob = self._blobs.view(user_id)
         model = rebuild_personal_model(
-            blob, np.random.default_rng(self.seed + user_id)
+            blob, np.random.default_rng(self.seed + user_id), self._trunk()
         )
         self.stats.cold_loads += 1
         self.stats.simulated_load_seconds += self._fetch_seconds(user_id, blob)
         self._live[user_id] = model
         self._evict_over_capacity()
         return model
+
+    def _trunk(self) -> Optional[Trunk]:
+        return None if self._orchestrator is None else self._orchestrator.trunk
+
+    def _trunk_reference(self, model: NextLocationModel) -> Optional[TrunkReference]:
+        """The trunk's digest and the names of the model's arrays that
+        *are* the trunk's (identity, not bits), or ``None`` if none are."""
+        trunk = self._trunk()
+        if trunk is None:
+            return None
+        names = trunk.shared_names({name: p.data for name, p in model.named_parameters()})
+        return (trunk.digest, names) if names else None
 
     def peek(self, user_id: int) -> Optional[NextLocationModel]:
         """The live model if resident, else ``None`` — no accounting,

@@ -73,28 +73,34 @@ class Pelican:
         self.cloud = CloudTrainer(self.config.general, seed=self.config.seed)
         self.channel = Channel()
         self._general_blob: Optional[bytes] = None
+        #: The published general model's LSTM stack, read-only: every
+        #: model this orchestrator deploys shares the cells that still
+        #: equal it bit for bit, and its fleet's registry stores and
+        #: cold-loads them by reference (DESIGN.md §7).  Built once per
+        #: published checkpoint; shards that adopt the checkpoint
+        #: (:meth:`adopt_general`) hold the same object.
+        self.trunk: Optional[Trunk] = None
         self.users: Dict[int, OnboardedUser] = {}
 
-    @property
-    def trunk(self) -> Optional[Trunk]:
-        """The published general model's LSTM stack, read-only: every
-        model this orchestrator deploys shares the cells that still equal
-        it bit for bit (DESIGN.md §7).  Derived from the published
-        checkpoint alone, so every shard holding it shares one trunk."""
-        if self._general_blob is None:
-            return None
-        return general_trunk(self._general_blob)
+    def adopt_general(self, lead: "Pelican") -> None:
+        """Serve ``lead``'s published general model: its checkpoint, its
+        trainer and its trunk (how a cluster's shards share one)."""
+        self._general_blob = lead._general_blob
+        self.trunk = lead.trunk
+        self.cloud = lead.cloud
 
     def __deepcopy__(self, memo: Dict[int, Any]) -> "Pelican":
         """A deep copy whose models keep sharing the read-only trunk.
 
-        The trunk's arrays go into ``memo`` first, so every copied model
-        points at them as the originals do: the copy stays write-protected,
-        holds no second trunk, and a tick over original and copied models
-        still projects each trunk layer once.
+        The trunk and its arrays go into ``memo`` first, so the copy holds
+        the same :class:`Trunk` and every copied model points at its arrays
+        as the originals do: the copy stays write-protected, holds no
+        second trunk, and a tick over original and copied models still
+        projects each trunk layer once.
         """
         trunk = self.trunk
         if trunk is not None:
+            memo[id(trunk)] = trunk
             for array in trunk.arrays.values():
                 memo[id(array)] = array
         copied = type(self).__new__(type(self))
@@ -110,6 +116,7 @@ class Pelican:
         """Train and publish the general model in the cloud."""
         self.cloud.train(contributor_dataset)
         self._general_blob = self.cloud.publish()
+        self.trunk = general_trunk(self._general_blob)
         assert self.cloud.training_report is not None
         return self.cloud.training_report
 
@@ -168,9 +175,8 @@ class Pelican:
     def _share_trunk(self, endpoint: ServiceEndpoint) -> None:
         """Point the deployed model's cells that still equal the trunk at
         its read-only arrays (DESIGN.md §7)."""
-        trunk = self.trunk
-        if trunk is not None:
-            trunk.attach(endpoint.predictor.model)
+        if self.trunk is not None:
+            self.trunk.attach(endpoint.predictor.model)
 
     # ------------------------------------------------------------------
     # Service queries

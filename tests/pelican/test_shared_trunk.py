@@ -8,6 +8,7 @@ in this file is exact.
 """
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from repro.models.trunk import Trunk, same_bits
 from repro.nn import Adam, dtype_policy, fit
 from repro.nn.fused import grouped_infer_logits
 from repro.nn.profiler import flop_counter
-from repro.pelican import Cluster, DeploymentMode, Pelican, PelicanConfig
-from repro.pelican.deployment import deploy_cloud
+from repro.nn.serialization import deserialize_state, logical_nbytes
+from repro.pelican import Cluster, DeploymentMode, Fleet, Pelican, PelicanConfig
+from repro.pelican.deployment import deploy_cloud, rebuild_personal_model, serialize_personal_model
 from repro.pelican.dispatch import _rank_rows, dispatch_model_batch, dispatch_tick
 from repro.pelican.registry import ModelRegistry
+from repro.pelican.storage import DiskBlobStore, MemoryBlobStore
 from repro.pelican.transport import Channel
 
 SPEC = FeatureSpec(num_locations=7)
@@ -290,22 +293,94 @@ class TestServedModels:
         assert private <= 0.35 * self.MODEL_BYTES
         assert np.array_equal(server.infer_logits(self._x()), personal.infer_logits(self._x()))
 
-    def test_cold_load_keeps_private_copies(self):
-        """A registry cold load does not compare against the trunk (the
-        compare costs more than the copy it would save): its arrays are
-        private, writable and bit-equal to the trunk's."""
+    def _registry(self, trunk, store=None):
+        """A registry whose orchestrator serves ``trunk``."""
+        return ModelRegistry(capacity=None, store=store, orchestrator=SimpleNamespace(trunk=trunk))
+
+    def test_cold_load_binds_the_trunk(self):
+        """A registry cold load binds the six stack arrays the blob leaves
+        to the trunk (read-only, shared) and copies the rest; it answers
+        bit for bit as the model did, and is billed at the full npz size."""
         trunk, personal = self._trunk_and_personal()
         server = self._deploy(trunk, personal)
-        registry = ModelRegistry(capacity=None)
+        registry = self._registry(trunk)
         registry.register(1, server)
         registry.evict(1)
         loaded = registry.get(1)
         assert loaded is not server
+        stack = [(name, p.data) for name, p in loaded.named_parameters() if name in trunk.arrays]
+        assert len(stack) == 6
+        for name, array in stack:
+            assert array is trunk.arrays[name] and not array.flags.writeable
         for name, p in loaded.named_parameters():
-            if name in trunk.arrays:
-                assert p.data is not trunk.arrays[name] and p.data.flags.writeable
-                assert same_bits(p.data, trunk.arrays[name])
+            if name not in trunk.arrays:
+                assert p.data.flags.writeable
         assert np.array_equal(loaded.infer_logits(self._x()), personal.infer_logits(self._x()))
+        blob = registry._blobs[1]
+        assert logical_nbytes(blob) == len(serialize_personal_model(server))
+
+    def test_stored_bytes_per_cloud_blob_within_gate(self):
+        """ROADMAP item 2's storage gate: a TL-FE cloud blob physically
+        holds at most 35% of its logical (npz) size."""
+        trunk, personal = self._trunk_and_personal()
+        registry = self._registry(trunk)
+        logical = registry.register(1, self._deploy(trunk, personal))
+        assert logical_nbytes(registry._blobs[1]) == logical
+        assert registry.stored_bytes <= 0.35 * logical
+
+    def test_tl_ft_blob_references_layer_0_only(self):
+        """A TL-FT model retrains layer 1: the blob leaves only layer 0 to
+        the trunk, and the moved cell travels inline."""
+        general = _general(3, "float64", width=self.SERVED.width, locations=40, hidden=48)
+        trunk = _trunk(general)
+        tl_ft = general.copy(np.random.default_rng(4))
+        tl_ft.lstm.cells[1].weight_hh.data[0, 0] += 1e-3
+        server = self._deploy(trunk, tl_ft)
+        registry = self._registry(trunk)
+        registry.register(1, server)
+        state, _ = deserialize_state(registry._blobs[1], {trunk.digest: trunk.arrays})
+        bound = sorted(name for name, array in state.items() if array is trunk.arrays.get(name))
+        assert bound == sorted(f"lstm.cells.0.{n}" for n in ("weight_ih", "weight_hh", "bias"))
+        assert same_bits(state["lstm.cells.1.weight_hh"], tl_ft.lstm.cells[1].weight_hh.data)
+        registry.evict(1)
+        loaded = registry.get(1)
+        assert loaded.lstm.cells[0].bias.data is trunk.arrays["lstm.cells.0.bias"]
+        assert loaded.lstm.cells[1].bias.data is not trunk.arrays["lstm.cells.1.bias"]
+        assert np.array_equal(loaded.infer_logits(self._x()), tl_ft.infer_logits(self._x()))
+
+    def test_a_blob_needs_the_trunk_it_names(self):
+        """Reading a referencing blob without a trunk, or with a trunk of
+        another digest, raises an error naming the blob's digest."""
+        trunk, personal = self._trunk_and_personal()
+        registry = self._registry(trunk)
+        registry.register(1, self._deploy(trunk, personal))
+        blob = registry._blobs[1]
+        other = _trunk(_general(9, "float64", width=self.SERVED.width, locations=40, hidden=48))
+        assert other.digest != trunk.digest
+        for reader in (None, other):
+            with pytest.raises(ValueError, match=trunk.digest):
+                rebuild_personal_model(blob, np.random.default_rng(0), reader)
+        registry.evict(1)
+        registry._orchestrator = SimpleNamespace(trunk=other)
+        with pytest.raises(ValueError, match=trunk.digest):
+            registry.get(1)
+
+    def test_stores_round_trip_the_reference(self, tmp_path):
+        """Memory and disk stores hold the same referencing bytes, and a
+        cold load off either binds the trunk and answers as the model."""
+        trunk, personal = self._trunk_and_personal()
+        server = self._deploy(trunk, personal)
+        blobs = []
+        for store in (MemoryBlobStore(), DiskBlobStore(tmp_path / "disk")):
+            registry = self._registry(trunk, store)
+            registry.register(1, server)
+            registry.evict(1)
+            loaded = registry.get(1)
+            assert _lstm_shared(loaded, trunk)
+            assert np.array_equal(loaded.infer_logits(self._x()), personal.infer_logits(self._x()))
+            blobs.append(store[1])
+            store.close()
+        assert blobs[0] == blobs[1]
 
     def test_a_moved_cell_keeps_its_private_copy(self):
         trunk, personal = self._trunk_and_personal()
@@ -343,14 +418,39 @@ class TestOrchestrator:
             assert _lstm_shared(user.endpoint.predictor.model, tl_fe_pelican.trunk)
         assert modes == {DeploymentMode.LOCAL, DeploymentMode.CLOUD}
 
+    def test_one_trunk_per_published_checkpoint(self, tl_fe_pelican):
+        """``Pelican.trunk`` is built once per checkpoint, not per access,
+        and a deep copy holds the same object."""
+        assert tl_fe_pelican.trunk is tl_fe_pelican.trunk
+        assert copy.deepcopy(tl_fe_pelican).trunk is tl_fe_pelican.trunk
+
     def test_shards_share_one_trunk(self, tl_fe_pelican):
-        """The trunk derives from the published checkpoint, so every shard
-        of a cluster built from the orchestrator holds the same arrays."""
+        """Every shard of a cluster built from the orchestrator adopts its
+        trunk: one object, one digest, the same arrays."""
         pelican = copy.deepcopy(tl_fe_pelican)
         cluster = Cluster.from_trained(pelican, num_shards=3)
+        assert {shard.pelican.trunk.digest for shard in cluster.shards} == {pelican.trunk.digest}
         for shard in cluster.shards:
+            assert shard.pelican.trunk is pelican.trunk
             for name, array in shard.pelican.trunk.arrays.items():
                 assert array is pelican.trunk.arrays[name]
+
+    def test_fleet_cold_loads_bind_the_trunk(self, tl_fe_pelican):
+        """A fleet's registry reads its orchestrator's trunk: evicted cloud
+        models come back bound to it and answer as before."""
+        pelican = copy.deepcopy(tl_fe_pelican)
+        fleet = Fleet(pelican, registry_capacity=1)
+        cloud = [u for u, v in pelican.users.items() if v.endpoint.mode == DeploymentMode.CLOUD]
+        history = next(iter(pelican.users.values())).local_dataset.windows[0].history
+        for uid in cloud + cloud:
+            fleet.registry.evict(uid)
+            model = fleet.registry.get(uid)
+            assert _lstm_shared(model, pelican.trunk)
+            expected = pelican.users[uid].endpoint.predictor.model
+            assert dispatch_model_batch(model, pelican.spec, [tuple(history)], 3)[0] == (
+                dispatch_model_batch(expected, pelican.spec, [tuple(history)], 3)[0]
+            )
+        assert fleet.registry.stats.cold_loads == 2 * len(cloud)
 
     def test_deep_copy_shares_the_trunk(self, tl_fe_pelican, monkeypatch):
         """A deep-copied orchestrator's models point at the one read-only
